@@ -14,8 +14,9 @@ from .ctqw import (
     ctqw_success_probability,
 )
 from .experiments import (
+    CtqwSpec,
     ExperimentResult,
-    ExperimentSpec,
+    WalkSpec,
     phi_from_beta,
     run_experiment,
     run_sweep,
@@ -62,11 +63,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockedRegimeError",
     "CtqwParams",
+    "CtqwSpec",
     "ExperimentResult",
-    "ExperimentSpec",
     "PhasePlan",
     "ReducedOperators",
     "WalkParams",
+    "WalkSpec",
     "apply_coin",
     "apply_lazy_shift",
     "apply_oracle",

@@ -18,13 +18,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, TypeVar
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from .experiments import (
     DEFAULT_MAX_FULL_N,
     VERIFY_DEFAULT_NS,
     VERIFY_DEFAULT_PHIS,
-    ExperimentSpec,
+    CtqwSpec,
+    WalkSpec,
+    engine_for,
     phi_from_beta,
     run_experiment,
     run_sweep,
@@ -51,10 +54,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 _FMT = ".12g"
-
-_T = TypeVar("_T")
-
-_MISSING = object()
 
 
 def _parse_bool(text: str) -> bool:
@@ -99,39 +98,49 @@ def load_config(path: str) -> dict[str, str]:
     return config
 
 
-class _Resolver:
+@dataclass(frozen=True)
+class _Option:
+    """One option: flag --name on the command line, key name in a config file.
+
+    parse turns the text of either into a value (a _parse_bool option is a
+    bare switch on the command line); default applies when neither sets it.
+    """
+
+    name: str
+    parse: Callable[[str], Any]
+    default: Any
+    help: str
+    required: bool = False
+    choices: tuple[str, ...] | None = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+def _resolve(
+    options: tuple[_Option, ...], args: argparse.Namespace, config: dict[str, str]
+) -> argparse.Namespace:
     """Merge precedence: explicit flag, then config entry, then default."""
-
-    def __init__(self, args: argparse.Namespace, config: dict[str, str]):
-        self._args = args
-        self._pending = dict(config)
-
-    def get(
-        self,
-        key: str,
-        parse: Callable[[str], _T],
-        default: _T | None = None,
-        required: bool = False,
-    ) -> _T | None:
-        # consume the config entry even when the flag wins, so finish() only
-        # complains about keys no option ever asked for
-        raw = self._pending.pop(key, _MISSING)
-        value = getattr(self._args, key)
-        if value is None and raw is not _MISSING:
+    values = {}
+    for option in options:
+        value = getattr(args, option.name)
+        if value is None and option.name in config:
             try:
-                value = parse(raw)
+                value = option.parse(config[option.name])
             except ValueError as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from None
+                raise ValueError(f"config key {option.name!r}: {exc}") from None
         if value is None:
-            if required:
-                raise ValueError(f"missing required option --{key.replace('_', '-')}")
-            return default
-        return value
-
-    def finish(self) -> None:
-        if self._pending:
-            unknown = ", ".join(sorted(self._pending))
-            raise ValueError(f"unknown config keys for this subcommand: {unknown}")
+            if option.required:
+                raise ValueError(f"missing required option {option.flag}")
+            value = option.default
+        values[option.name] = value
+    unknown = sorted(set(config) - set(values))
+    if unknown:
+        raise ValueError(
+            f"unknown config keys for this subcommand: {', '.join(unknown)}"
+        )
+    return argparse.Namespace(**values)
 
 
 def _emit_curve(result, out_path: str | None) -> None:
@@ -144,72 +153,80 @@ def _emit_curve(result, out_path: str | None) -> None:
     print(summary_line(result))
 
 
-def _cmd_simulate(args: argparse.Namespace, config: dict[str, str]) -> int:
-    r = _Resolver(args, config)
-    mode = r.get("mode", str, "dtqw-full")
-    n = r.get("n", int, required=True)
-    beta = r.get("beta", float, 0.0)
-    corrected = r.get("corrected", _parse_bool, False)
-    steps = r.get("steps", int)
-    marked = r.get("marked", int, 0)
-    max_full_n = r.get("max_full_n", int, DEFAULT_MAX_FULL_N)
-    out = r.get("out", str)
-    r.finish()
-    if mode == "ctqw":
+# One row per option, in --help order: name, parse, default, help.
+_N = _Option("n", int, None, "number of vertices (N >= 3)", required=True)
+_BETA = _Option("beta", float, 0.0, "barrier strength |beta| in [0, 1] (default 0)")
+_MARKED = _Option("marked", int, 0, "marked vertex index (default 0)")
+_OUT = _Option("out", str, None, "CSV path (default: standard output)")
+_CONFIG = _Option("config", str, None, "key = value config file")
+
+_SIMULATE = (
+    _N,
+    _BETA,
+    _Option("corrected", _parse_bool, False, "apply the phase-matched eta correction"),
+    _Option("steps", int, None, "step count (default: window covering the peak)"),
+    _Option("mode", str, "dtqw-full",
+            "statevector engine or exact 3x3 reduced model (default dtqw-full)",
+            choices=("dtqw-full", "dtqw-reduced")),
+    _MARKED,
+    _Option("max_full_n", int, DEFAULT_MAX_FULL_N,
+            f"cap on full-space N (default {DEFAULT_MAX_FULL_N})"),
+    _OUT,
+)
+
+
+def _cmd_simulate(o: argparse.Namespace) -> int:
+    if o.mode == "ctqw":
         raise ValueError("continuous-time runs have their own subcommand: ctqw")
-    if mode == "dtqw-full" and n > max_full_n:
+    if o.mode == "dtqw-full" and engine_for(o.n, o.max_full_n) == "dtqw-reduced":
         raise ValueError(
-            f"N = {n} exceeds the full-space cap {max_full_n}; "
+            f"N = {o.n} exceeds the full-space cap {o.max_full_n}; "
             "use --mode dtqw-reduced or raise --max-full-n"
         )
-    spec = ExperimentSpec(
-        mode=mode,
-        n_vertices=n,
-        beta=beta,
-        corrected=corrected,
-        steps=steps,
-        marked=marked,
-        out=out,
-    )
-    _emit_curve(run_experiment(spec), out)
+    spec = WalkSpec(o.n, o.beta, o.corrected, o.steps, marked=o.marked, mode=o.mode)
+    _emit_curve(run_experiment(spec), o.out)
     return EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace, config: dict[str, str]) -> int:
-    r = _Resolver(args, config)
-    n_values = r.get("n", _parse_int_list, required=True)
-    beta_values = r.get("beta", _parse_float_list, required=True)
-    corrected = r.get("corrected", _parse_bool, False)
-    steps = r.get("steps", int)
-    max_full_n = r.get("max_full_n", int, DEFAULT_MAX_FULL_N)
-    workers = r.get("workers", int, 1)
-    out = r.get("out", str)
-    r.finish()
-    rows = run_sweep(
-        n_values,
-        beta_values,
-        corrected,
-        steps=steps,
-        max_full_n=max_full_n,
-        workers=workers,
-    )
-    if out is None:
+_SWEEP = (
+    _Option("n", _parse_int_list, None, "comma-separated vertex counts", required=True),
+    _Option("beta", _parse_float_list, None, "comma-separated barrier strengths",
+            required=True),
+    _Option("corrected", _parse_bool, False,
+            "apply the eta correction at every grid point"),
+    _Option("steps", int, None, "step count per point (default auto)"),
+    _Option("max_full_n", int, DEFAULT_MAX_FULL_N,
+            "N above this runs the reduced model (noted in the mode column)"),
+    _Option("workers", int, 1, "process count for grid points (default 1)"),
+    _OUT,
+)
+
+
+def _cmd_sweep(o: argparse.Namespace) -> int:
+    rows = run_sweep(o.n, o.beta, o.corrected, o.steps, o.max_full_n, o.workers)
+    if o.out is None:
         write_sweep_csv(rows, sys.stdout)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
+        with open(o.out, "w", encoding="utf-8", newline="") as handle:
             write_sweep_csv(rows, handle)
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
-    r = _Resolver(args, config)
-    n_values = r.get("n", _parse_int_list, list(VERIFY_DEFAULT_NS))
-    phi_values = r.get("phi", _parse_float_list, list(VERIFY_DEFAULT_PHIS))
-    steps = r.get("steps", int, 200)
-    force_eta_zero = r.get("force_eta_zero", _parse_bool, False)
-    r.finish()
+_VERIFY = (
+    _Option("n", _parse_int_list, VERIFY_DEFAULT_NS, "comma-separated vertex counts"
+            f" (default {','.join(map(str, VERIFY_DEFAULT_NS))})"),
+    _Option("phi", _parse_float_list, VERIFY_DEFAULT_PHIS,
+            "comma-separated barrier phases in radians (default 0,0.3,arcsin(0.8))"),
+    _Option("steps", int, 200, "trajectory length per check (default 200)"),
+    _Option("force_eta_zero", _parse_bool, False,
+            "negative control: use eta = 0 in the Hoyer-residual check, which"
+            " must then fail for any phi > 0"),
+)
+
+
+def _cmd_verify(o: argparse.Namespace) -> int:
     checks = run_verification(
-        n_values, phi_values, steps=steps, force_eta_zero=force_eta_zero
+        o.n, o.phi, steps=o.steps, force_eta_zero=o.force_eta_zero
     )
     for check in checks:
         verdict = "PASS" if check.passed else "FAIL"
@@ -226,29 +243,23 @@ def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
     return EXIT_OK
 
 
-def _cmd_ctqw(args: argparse.Namespace, config: dict[str, str]) -> int:
-    r = _Resolver(args, config)
-    n = r.get("n", int, required=True)
-    epsilon = r.get("epsilon", float, 0.0)
-    gamma = r.get("gamma", float)
-    corrected = r.get("corrected", _parse_bool, False)
-    t_max = r.get("t_max", float)
-    samples = r.get("samples", int, 401)
-    marked = r.get("marked", int, 0)
-    out = r.get("out", str)
-    r.finish()
-    spec = ExperimentSpec(
-        mode="ctqw",
-        n_vertices=n,
-        corrected=corrected,
-        marked=marked,
-        epsilon=epsilon,
-        gamma=gamma,
-        t_max=t_max,
-        samples=samples,
-        out=out,
-    )
-    _emit_curve(run_experiment(spec), out)
+_CTQW = (
+    _Option("n", int, None, "number of vertices (N >= 2)", required=True),
+    _Option("epsilon", float, 0.0, "hop attenuation in [0, 1) (default 0)"),
+    _Option("gamma", float, None,
+            "explicit jumping rate (default 1/N; incompatible with --corrected)"),
+    _Option("corrected", _parse_bool, False, "use the corrected rate 1/(N(1-epsilon))"),
+    _Option("t_max", float, None,
+            "evolution-time horizon (default 1.5x the predicted peak time)"),
+    _Option("samples", int, 401, "number of time samples (default 401)"),
+    _MARKED,
+    _OUT,
+)
+
+
+def _cmd_ctqw(o: argparse.Namespace) -> int:
+    spec = CtqwSpec(o.n, o.epsilon, o.gamma, o.corrected, o.t_max, o.samples, o.marked)
+    _emit_curve(run_experiment(spec), o.out)
     return EXIT_OK
 
 
@@ -281,14 +292,28 @@ def _plan_lines(n: int, beta: float) -> list[str]:
     return lines
 
 
-def _cmd_plan(args: argparse.Namespace, config: dict[str, str]) -> int:
-    r = _Resolver(args, config)
-    n = r.get("n", int, required=True)
-    beta = r.get("beta", float, 0.0)
-    r.finish()
-    for line in _plan_lines(n, beta):
+_PLAN = (_N, _BETA)
+
+
+def _cmd_plan(o: argparse.Namespace) -> int:
+    for line in _plan_lines(o.n, o.beta):
         print(line)
     return EXIT_OK
+
+
+# subcommand -> (help, options, handler); every subcommand also takes --config
+_COMMANDS = {
+    "simulate": ("run one discrete-walk curve and emit step,probability CSV",
+                 _SIMULATE, _cmd_simulate),
+    "sweep": ("run an (N, beta) grid and emit one summary row per point",
+              _SWEEP, _cmd_sweep),
+    "verify": ("run the cross-module invariant suite and report deviations",
+               _VERIFY, _cmd_verify),
+    "ctqw": ("run a continuous-time curve and emit time,probability CSV",
+             _CTQW, _cmd_ctqw),
+    "plan": ("print theta, eta, sigma, t* and friends for an instance",
+             _PLAN, _cmd_plan),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,137 +329,20 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    simulate = sub.add_parser(
-        "simulate", help="run one discrete-walk curve and emit step,probability CSV"
-    )
-    simulate.add_argument("--n", type=int, help="number of vertices (N >= 3)")
-    simulate.add_argument(
-        "--beta", type=float, help="barrier strength |beta| in [0, 1] (default 0)"
-    )
-    simulate.add_argument(
-        "--corrected",
-        action="store_true",
-        default=None,
-        help="apply the phase-matched eta correction",
-    )
-    simulate.add_argument(
-        "--steps", type=int, help="step count (default: window covering the peak)"
-    )
-    simulate.add_argument(
-        "--mode",
-        choices=("dtqw-full", "dtqw-reduced"),
-        help="statevector engine or exact 3x3 reduced model (default dtqw-full)",
-    )
-    simulate.add_argument("--marked", type=int, help="marked vertex index (default 0)")
-    simulate.add_argument(
-        "--max-full-n",
-        type=int,
-        dest="max_full_n",
-        help=f"cap on full-space N (default {DEFAULT_MAX_FULL_N})",
-    )
-    simulate.add_argument("--out", help="CSV path (default: standard output)")
-    simulate.add_argument("--config", help="key = value config file")
-    simulate.set_defaults(handler=_cmd_simulate)
-
-    sweep = sub.add_parser(
-        "sweep", help="run an (N, beta) grid and emit one summary row per point"
-    )
-    sweep.add_argument(
-        "--n", type=_parse_int_list, help="comma-separated vertex counts"
-    )
-    sweep.add_argument(
-        "--beta", type=_parse_float_list, help="comma-separated barrier strengths"
-    )
-    sweep.add_argument(
-        "--corrected", action="store_true", default=None,
-        help="apply the eta correction at every grid point",
-    )
-    sweep.add_argument("--steps", type=int, help="step count per point (default auto)")
-    sweep.add_argument(
-        "--max-full-n",
-        type=int,
-        dest="max_full_n",
-        help="N above this runs the reduced model (noted in the mode column)",
-    )
-    sweep.add_argument(
-        "--workers", type=int, help="process count for grid points (default 1)"
-    )
-    sweep.add_argument("--out", help="CSV path (default: standard output)")
-    sweep.add_argument("--config", help="key = value config file")
-    sweep.set_defaults(handler=_cmd_sweep)
-
-    verify = sub.add_parser(
-        "verify", help="run the cross-module invariant suite and report deviations"
-    )
-    verify.add_argument(
-        "--n",
-        type=_parse_int_list,
-        help=f"comma-separated vertex counts (default {','.join(map(str, VERIFY_DEFAULT_NS))})",
-    )
-    verify.add_argument(
-        "--phi",
-        type=_parse_float_list,
-        help="comma-separated barrier phases in radians (default 0,0.3,arcsin(0.8))",
-    )
-    verify.add_argument(
-        "--steps", type=int, help="trajectory length per check (default 200)"
-    )
-    verify.add_argument(
-        "--force-eta-zero",
-        action="store_true",
-        default=None,
-        dest="force_eta_zero",
-        help=(
-            "negative control: use eta = 0 in the Hoyer-residual check, which"
-            " must then fail for any phi > 0"
-        ),
-    )
-    verify.add_argument("--config", help="key = value config file")
-    verify.set_defaults(handler=_cmd_verify)
-
-    ctqw = sub.add_parser(
-        "ctqw", help="run a continuous-time curve and emit time,probability CSV"
-    )
-    ctqw.add_argument("--n", type=int, help="number of vertices (N >= 2)")
-    ctqw.add_argument(
-        "--epsilon", type=float, help="hop attenuation in [0, 1) (default 0)"
-    )
-    ctqw.add_argument(
-        "--gamma",
-        type=float,
-        help="explicit jumping rate (default 1/N; incompatible with --corrected)",
-    )
-    ctqw.add_argument(
-        "--corrected",
-        action="store_true",
-        default=None,
-        help="use the corrected rate 1/(N(1-epsilon))",
-    )
-    ctqw.add_argument(
-        "--t-max",
-        type=float,
-        dest="t_max",
-        help="evolution-time horizon (default 1.5x the predicted peak time)",
-    )
-    ctqw.add_argument(
-        "--samples", type=int, help="number of time samples (default 401)"
-    )
-    ctqw.add_argument("--marked", type=int, help="marked vertex index (default 0)")
-    ctqw.add_argument("--out", help="CSV path (default: standard output)")
-    ctqw.add_argument("--config", help="key = value config file")
-    ctqw.set_defaults(handler=_cmd_ctqw)
-
-    plan = sub.add_parser(
-        "plan", help="print theta, eta, sigma, t* and friends for an instance"
-    )
-    plan.add_argument("--n", type=int, help="number of vertices (N >= 3)")
-    plan.add_argument(
-        "--beta", type=float, help="barrier strength |beta| in [0, 1] (default 0)"
-    )
-    plan.add_argument("--config", help="key = value config file")
-    plan.set_defaults(handler=_cmd_plan)
-
+    for name, (help_text, options, _) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for option in (*options, _CONFIG):
+            if option.parse is _parse_bool:
+                command.add_argument(
+                    option.flag, action="store_true", default=None, help=option.help
+                )
+            else:
+                command.add_argument(
+                    option.flag,
+                    type=option.parse,
+                    choices=option.choices,
+                    help=option.help,
+                )
     return parser
 
 
@@ -445,9 +353,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
+    _, options, handler = _COMMANDS[args.command]
     try:
         config = load_config(args.config) if args.config else {}
-        return args.handler(args, config)
+        return handler(_resolve(options, args, config))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

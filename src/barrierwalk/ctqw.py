@@ -62,6 +62,8 @@ class CtqwParams:
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
         if self.gamma is not None and not self.gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if self.gamma is not None and not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
         if not 0 <= self.marked < self.n_vertices:
             raise ValueError(
                 f"marked vertex {self.marked} outside [0, {self.n_vertices})"

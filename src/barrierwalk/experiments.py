@@ -6,15 +6,17 @@ the CSV writers, which take an open text file; byte-identical output for
 identical specs is a hard requirement (golden tests diff these files), so
 all floats are rendered with a fixed 12-significant-digit format.
 
-Barrier conventions: discrete-time runs take the barrier as the magnitude
-beta of the staying amplitude (phi = arcsin(beta); the phase i is implicit),
-matching how the curves are usually labeled.  Continuous-time runs take it
-as the hop attenuation epsilon instead; beta must stay 0 there.
+The two walk families take different knobs, so each has its own spec.
+Discrete-time runs (WalkSpec) take the barrier as the magnitude beta of the
+staying amplitude (phi = arcsin(beta); the phase i is implicit), matching
+how the curves are usually labeled.  Continuous-time runs (CtqwSpec) take it
+as the hop attenuation epsilon instead.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
@@ -23,6 +25,7 @@ import numpy as np
 
 from .ctqw import CtqwParams, corrected_gamma, ctqw_runtime, ctqw_success_curve
 from .phases import (
+    _HALF_PI,
     BlockedRegimeError,
     corrected_eta,
     hoyer_residual,
@@ -41,15 +44,16 @@ from .reduced import (
 from .walk import WalkParams, evolve, initial_state, step, success_probability
 
 __all__ = [
-    "MODES",
     "DEFAULT_MAX_FULL_N",
     "VERIFY_DEFAULT_NS",
     "VERIFY_DEFAULT_PHIS",
-    "ExperimentSpec",
+    "WalkSpec",
+    "CtqwSpec",
     "ExperimentResult",
     "SweepRow",
     "CheckResult",
     "phi_from_beta",
+    "engine_for",
     "run_experiment",
     "summary_line",
     "write_curve_csv",
@@ -58,8 +62,6 @@ __all__ = [
     "run_verification",
 ]
 
-MODES = ("dtqw-full", "dtqw-reduced", "ctqw")
-
 # Full-space states above this N cost >16.8M complex amplitudes; default to
 # the reduced model beyond it unless the caller raises the cap explicitly.
 DEFAULT_MAX_FULL_N = 4096
@@ -67,7 +69,6 @@ DEFAULT_MAX_FULL_N = 4096
 VERIFY_DEFAULT_NS = (4, 16, 64)
 VERIFY_DEFAULT_PHIS = (0.0, 0.3, math.asin(0.8))
 
-_HALF_PI = math.pi / 2
 _FLOAT_FMT = ".12g"
 
 
@@ -78,76 +79,39 @@ def phi_from_beta(beta: float) -> float:
     return math.asin(beta)
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Declarative description of one simulation run.
+def engine_for(n_vertices: int, max_full_n: int) -> str:
+    """Discrete-walk engine for N: dtqw-full up to the cap, dtqw-reduced above."""
+    return "dtqw-full" if n_vertices <= max_full_n else "dtqw-reduced"
 
-    mode selects the engine: dtqw-full (statevector), dtqw-reduced (3x3
-    model, same numbers to 1e-10), or ctqw.  corrected means "apply the
-    matching correction": the eta phase for discrete modes, the adjusted
-    jumping rate for ctqw.  Unset steps/t_max pick windows wide enough to
-    contain the first success peak.
+
+@dataclass(frozen=True)
+class WalkSpec:
+    """Declarative description of one discrete-time walk run.
+
+    mode selects the engine: dtqw-full (statevector) or dtqw-reduced (3x3
+    model, same numbers to 1e-10).  corrected applies the phase-matched eta.
+    Unset steps picks a window wide enough to contain the first success peak.
     """
 
-    mode: str
     n_vertices: int
     beta: float = 0.0
     corrected: bool = False
     steps: int | None = None
     marked: int = 0
-    epsilon: float = 0.0
-    gamma: float | None = None
-    t_max: float | None = None
-    samples: int = 401
-    out: str | None = None
+    mode: str = "dtqw-full"
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
+        if self.mode not in ("dtqw-full", "dtqw-reduced"):
+            raise ValueError(
+                f"mode must be dtqw-full or dtqw-reduced, got {self.mode!r}"
+            )
         if self.steps is not None and self.steps < 0:
             raise ValueError(f"steps must be non-negative, got {self.steps}")
-        if not 0 <= self.marked < self.n_vertices:
-            raise ValueError(
-                f"marked vertex {self.marked} outside [0, {self.n_vertices})"
-            )
-        if self.mode == "ctqw":
-            self._validate_ctqw()
-        else:
-            self._validate_dtqw()
-
-    def _validate_dtqw(self) -> None:
-        if self.n_vertices < 3:
-            raise ValueError(f"need at least 3 vertices, got {self.n_vertices}")
         if self.corrected and self.beta == 1.0:
             raise BlockedRegimeError(
                 "beta = 1 blocks every hop; the corrected walk does not exist"
             )
-        if self.epsilon != 0.0:
-            raise ValueError("epsilon applies to ctqw mode only; use beta")
-        if self.gamma is not None:
-            raise ValueError("gamma applies to ctqw mode only")
-        if self.t_max is not None:
-            raise ValueError("t_max applies to ctqw mode only; use steps")
-
-    def _validate_ctqw(self) -> None:
-        if self.n_vertices < 2:
-            raise ValueError(f"need at least 2 vertices, got {self.n_vertices}")
-        if self.beta != 0.0:
-            raise ValueError("ctqw mode takes the barrier as epsilon, not beta")
-        if self.steps is not None:
-            raise ValueError("steps applies to discrete modes only; use t_max/samples")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
-        if self.gamma is not None and not self.gamma > 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.corrected and self.gamma is not None:
-            raise ValueError("corrected ctqw chooses gamma itself; drop gamma")
-        if self.samples < 2:
-            raise ValueError(f"need at least 2 time samples, got {self.samples}")
-        if self.t_max is not None and not self.t_max > 0.0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        self.params()  # WalkParams checks N, beta (as phi) and marked
 
     @property
     def phi(self) -> float:
@@ -155,10 +119,13 @@ class ExperimentSpec:
 
     @property
     def eta(self) -> float:
-        """Coin/oracle phase the discrete run will use."""
+        """Coin/oracle phase the run will use."""
         if self.corrected:
             return corrected_eta(self.phi, self.n_vertices)
         return 0.0
+
+    def params(self) -> WalkParams:
+        return WalkParams(self.n_vertices, self.phi, self.eta, self.marked)
 
     def resolved_steps(self) -> int:
         """Step count, defaulting to a window that contains the first peak."""
@@ -171,19 +138,67 @@ class ExperimentSpec:
         # runtime covers the first hump for the mild barriers of interest.
         return math.ceil(2.8 * runtime_t_star_exact(0.0, self.n_vertices))
 
+    def predicted_peak(self) -> float | None:
+        if self.corrected:
+            return float(runtime_t_star(self.phi, self.n_vertices))
+        if self.beta == 0.0:
+            return float(runtime_t_star(0.0, self.n_vertices))
+        return None
+
+
+@dataclass(frozen=True)
+class CtqwSpec:
+    """Declarative description of one continuous-time walk run.
+
+    corrected uses the rate 1/(N(1-epsilon)) that undoes the attenuation;
+    otherwise gamma is the rate, 1/N when unset.  Unset t_max picks a window
+    that contains the first success peak.
+    """
+
+    n_vertices: int
+    epsilon: float = 0.0
+    gamma: float | None = None
+    corrected: bool = False
+    t_max: float | None = None
+    samples: int = 401
+    marked: int = 0
+
+    def __post_init__(self) -> None:
+        # CtqwParams checks N, epsilon, gamma and marked
+        CtqwParams(self.n_vertices, self.epsilon, self.gamma, self.marked)
+        if self.corrected and self.gamma is not None:
+            raise ValueError("corrected ctqw chooses gamma itself; drop gamma")
+        if self.samples < 2:
+            raise ValueError(f"need at least 2 time samples, got {self.samples}")
+        if self.t_max is not None and not self.t_max > 0.0:
+            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if self.t_max is not None and not math.isfinite(self.t_max):
+            raise ValueError(f"t_max must be finite, got {self.t_max}")
+
     def resolved_gamma(self) -> float:
-        """Jumping rate a ctqw run will use (1/N unless corrected/overridden)."""
+        """Jumping rate the run will use (1/N unless corrected/overridden)."""
         if self.corrected:
             return corrected_gamma(self.n_vertices, self.epsilon)
         if self.gamma is not None:
             return self.gamma
         return 1.0 / self.n_vertices
 
+    def params(self) -> CtqwParams:
+        return CtqwParams(
+            self.n_vertices, self.epsilon, self.resolved_gamma(), self.marked
+        )
+
     def time_grid(self) -> np.ndarray:
         t_max = self.t_max
         if t_max is None:
             t_max = 1.5 * ctqw_runtime(self.n_vertices)
         return np.linspace(0.0, t_max, self.samples)
+
+    def predicted_peak(self) -> float | None:
+        effective = self.resolved_gamma() * (1.0 - self.epsilon) * self.n_vertices
+        if abs(effective - 1.0) <= 1e-9:
+            return ctqw_runtime(self.n_vertices)
+        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +211,7 @@ class ExperimentResult:
     miscalibrated ctqw rates).
     """
 
-    spec: ExperimentSpec
+    spec: WalkSpec | CtqwSpec
     x: np.ndarray
     probabilities: np.ndarray
     peak_index: int
@@ -208,49 +223,20 @@ class ExperimentResult:
         return zip(self.x.tolist(), self.probabilities.tolist())
 
 
-def _predicted_peak_dtqw(spec: ExperimentSpec) -> float | None:
-    if spec.corrected:
-        return float(runtime_t_star(spec.phi, spec.n_vertices))
-    if spec.beta == 0.0:
-        return float(runtime_t_star(0.0, spec.n_vertices))
-    return None
-
-
-def _predicted_peak_ctqw(spec: ExperimentSpec) -> float | None:
-    effective = spec.resolved_gamma() * (1.0 - spec.epsilon) * spec.n_vertices
-    if abs(effective - 1.0) <= 1e-9:
-        return ctqw_runtime(spec.n_vertices)
-    return None
-
-
-def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
+def run_experiment(spec: WalkSpec | CtqwSpec) -> ExperimentResult:
     """Execute a spec and package the curve with its summary."""
-    if spec.mode == "ctqw":
-        params = CtqwParams(
-            n_vertices=spec.n_vertices,
-            epsilon=spec.epsilon,
-            gamma=spec.resolved_gamma(),
-            marked=spec.marked,
-        )
+    if isinstance(spec, CtqwSpec):
         x = spec.time_grid()
-        probs = ctqw_success_curve(params, x)
-        predicted = _predicted_peak_ctqw(spec)
+        probs = ctqw_success_curve(spec.params(), x)
     else:
         steps = spec.resolved_steps()
         if spec.mode == "dtqw-full":
-            params = WalkParams(
-                n_vertices=spec.n_vertices,
-                phi=spec.phi,
-                eta=spec.eta,
-                marked=spec.marked,
-            )
-            probs = evolve(params, steps)
+            probs = evolve(spec.params(), steps)
         else:
             # The reduced model is marked-agnostic: vertex-transitivity makes
             # every choice of marked vertex give the same curve.
             probs = evolve_reduced(spec.n_vertices, spec.phi, spec.eta, steps)
         x = np.arange(steps + 1)
-        predicted = _predicted_peak_dtqw(spec)
     peak_index = int(np.argmax(probs))
     return ExperimentResult(
         spec=spec,
@@ -259,13 +245,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         peak_index=peak_index,
         peak_x=float(x[peak_index]),
         peak_probability=float(probs[peak_index]),
-        predicted_peak=predicted,
+        predicted_peak=spec.predicted_peak(),
     )
 
 
 def summary_line(result: ExperimentResult) -> str:
     """One human-readable line: where the run peaked vs. where theory says."""
-    if result.spec.mode == "ctqw":
+    if isinstance(result.spec, CtqwSpec):
         head = (
             f"peak probability {result.peak_probability:.6f}"
             f" at time {result.peak_x:{_FLOAT_FMT}}"
@@ -284,7 +270,7 @@ def summary_line(result: ExperimentResult) -> str:
 
 def write_curve_csv(result: ExperimentResult, out: TextIO) -> None:
     """Emit the curve; identical specs must produce identical bytes."""
-    if result.spec.mode == "ctqw":
+    if isinstance(result.spec, CtqwSpec):
         out.write("time,probability\n")
         for t, p in result.rows():
             out.write(f"{t:{_FLOAT_FMT}},{p:{_FLOAT_FMT}}\n")
@@ -314,27 +300,20 @@ class SweepRow:
     mode: str
 
 
-def _sweep_point(
-    args: tuple[int, float, bool, int | None, int]
-) -> SweepRow:
+def _sweep_point(spec: WalkSpec) -> SweepRow:
     # Top-level (picklable) so worker processes can run grid points.
-    n, beta, corrected, steps, max_full_n = args
-    mode = "dtqw-full" if n <= max_full_n else "dtqw-reduced"
-    spec = ExperimentSpec(
-        mode=mode, n_vertices=n, beta=beta, corrected=corrected, steps=steps
-    )
     result = run_experiment(spec)
-    phi = spec.phi
+    n, phi = spec.n_vertices, spec.phi
     blocked = phi == _HALF_PI
     return SweepRow(
         n_vertices=n,
-        beta=beta,
+        beta=spec.beta,
         eta=spec.eta,
         sigma=rotation_angle_sigma(phi, n),
         t_star_predicted=None if blocked else runtime_t_star(phi, n),
         t_star_measured=result.peak_index,
         peak_probability=result.peak_probability,
-        mode=mode,
+        mode=spec.mode,
     )
 
 
@@ -349,19 +328,23 @@ def run_sweep(
     """Run the (N, beta) grid, N-major, one row per point.
 
     Grid points are independent simulations; workers > 1 fans them out to
-    processes.  Row order is the grid order regardless of completion order.
+    processes, at most one per grid point and per CPU.  Row order is the
+    grid order regardless of completion order.
     """
     if not n_values or not beta_values:
         raise ValueError("sweep needs at least one N and one beta")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     grid = [
-        (n, beta, corrected, steps, max_full_n)
+        WalkSpec(n, beta, corrected, steps, mode=engine_for(n, max_full_n))
         for n in n_values
         for beta in beta_values
     ]
+    # The pool starts every worker it is allowed at the first submit, so an
+    # unclamped count forks that many processes whatever the grid size.
+    workers = min(workers, len(grid), os.cpu_count() or 1)
     if workers == 1:
-        return [_sweep_point(point) for point in grid]
+        return [_sweep_point(spec) for spec in grid]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_point, grid))
 

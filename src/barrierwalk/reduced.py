@@ -28,6 +28,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .phases import _check_n, _check_phi
+from .walk import _slot_endpoints
+
 __all__ = [
     "ReducedOperators",
     "build_reduced_operators",
@@ -41,14 +44,6 @@ __all__ = [
     "project",
     "evolve_reduced",
 ]
-
-_HALF_PI = math.pi / 2
-
-
-def _check_n(n_vertices: int) -> None:
-    if n_vertices < 3:
-        raise ValueError(f"need at least 3 vertices, got {n_vertices}")
-
 
 @dataclass(frozen=True, eq=False)
 class ReducedOperators:
@@ -71,8 +66,7 @@ def build_reduced_operators(
 ) -> ReducedOperators:
     """Construct the reduced shift, combined coin/oracle, and step matrices."""
     _check_n(n_vertices)
-    if not 0.0 <= phi <= _HALF_PI:
-        raise ValueError(f"phi must lie in [0, pi/2], got {phi}")
+    _check_phi(phi, allow_blocked=True)
     if not math.isfinite(eta):
         raise ValueError(f"eta must be finite, got {eta}")
     n = n_vertices
@@ -164,10 +158,7 @@ def symmetry_classes(
     _check_n(n_vertices)
     if not 0 <= marked < n_vertices:
         raise ValueError(f"marked vertex {marked} outside [0, {n_vertices})")
-    n = n_vertices
-    v = np.repeat(np.arange(n), n - 1)
-    c = np.tile(np.arange(n - 1), n)
-    w = c + (c >= v)
+    v, w = _slot_endpoints(n_vertices)
     ab = np.flatnonzero(v == marked)
     ba = np.flatnonzero((v != marked) & (w == marked))
     bb = np.flatnonzero((v != marked) & (w != marked))

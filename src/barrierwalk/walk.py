@@ -26,6 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .phases import _check_n, _check_phi
+
 __all__ = [
     "WalkParams",
     "vertex_count",
@@ -39,9 +41,6 @@ __all__ = [
     "success_probability",
     "evolve",
 ]
-
-_HALF_PI = math.pi / 2
-
 
 @dataclass(frozen=True)
 class WalkParams:
@@ -60,10 +59,10 @@ class WalkParams:
     marked: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_vertices < 3:
-            raise ValueError(f"need at least 3 vertices, got {self.n_vertices}")
-        if not 0.0 <= self.phi <= _HALF_PI:
-            raise ValueError(f"phi must lie in [0, pi/2], got {self.phi}")
+        _check_n(self.n_vertices)
+        _check_phi(self.phi, allow_blocked=True)
+        if not math.isfinite(self.eta):
+            raise ValueError(f"eta must be finite, got {self.eta}")
         if not 0 <= self.marked < self.n_vertices:
             raise ValueError(
                 f"marked vertex {self.marked} outside [0, {self.n_vertices})"
@@ -104,12 +103,18 @@ def coin_index(n_vertices: int, v: int, w: int) -> int:
     return w if w < v else w - 1
 
 
+def _slot_endpoints(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # For every flat index: the vertex v owning the slot and the neighbor w
+    # its coin slot c points at.
+    v = np.repeat(np.arange(n), n - 1)
+    c = np.tile(np.arange(n - 1), n)
+    return v, c + (c >= v)
+
+
 @lru_cache(maxsize=4)
 def _flip_flop_permutation(n: int) -> np.ndarray:
     # perm[index(v, ->w)] = index(w, ->v); an involution on 0..N(N-1)-1
-    v = np.repeat(np.arange(n), n - 1)
-    c = np.tile(np.arange(n - 1), n)
-    w = c + (c >= v)
+    v, w = _slot_endpoints(n)
     perm = w * (n - 1) + (v - (v > w))
     perm.flags.writeable = False
     return perm

@@ -2,15 +2,20 @@
 
 import io
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from barrierwalk import experiments
 from barrierwalk.cli import main
 from barrierwalk.experiments import (
-    ExperimentSpec,
+    CtqwSpec,
+    WalkSpec,
     phi_from_beta,
     run_experiment,
     run_sweep,
@@ -33,37 +38,38 @@ def test_phi_from_beta():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        ExperimentSpec(mode="dtqw", n_vertices=8)
+        WalkSpec(mode="dtqw", n_vertices=8)
     with pytest.raises(ValueError):
-        ExperimentSpec(mode="dtqw-full", n_vertices=2)
+        WalkSpec(mode="dtqw-full", n_vertices=2)
     with pytest.raises(ValueError):
-        ExperimentSpec(mode="dtqw-full", n_vertices=8, beta=1.5)
+        WalkSpec(mode="dtqw-full", n_vertices=8, beta=1.5)
     with pytest.raises(BlockedRegimeError):
-        ExperimentSpec(mode="dtqw-full", n_vertices=8, beta=1.0, corrected=True)
+        WalkSpec(mode="dtqw-full", n_vertices=8, beta=1.0, corrected=True)
+    # a knob of the other walk family is not a field of the spec
+    with pytest.raises(TypeError):
+        WalkSpec(mode="dtqw-full", n_vertices=8, epsilon=0.5)
+    with pytest.raises(TypeError):
+        WalkSpec(mode="dtqw-full", n_vertices=8, gamma=0.1)
+    with pytest.raises(TypeError):
+        WalkSpec(mode="dtqw-full", n_vertices=8, t_max=5.0)
+    with pytest.raises(TypeError):
+        CtqwSpec(n_vertices=8, beta=0.5)
+    with pytest.raises(TypeError):
+        CtqwSpec(n_vertices=8, steps=10)
     with pytest.raises(ValueError):
-        ExperimentSpec(mode="dtqw-full", n_vertices=8, epsilon=0.5)
+        CtqwSpec(n_vertices=8, corrected=True, gamma=0.1)
     with pytest.raises(ValueError):
-        ExperimentSpec(mode="dtqw-full", n_vertices=8, gamma=0.1)
+        CtqwSpec(n_vertices=8, samples=1)
     with pytest.raises(ValueError):
-        ExperimentSpec(mode="dtqw-full", n_vertices=8, t_max=5.0)
-    with pytest.raises(ValueError):
-        ExperimentSpec(mode="ctqw", n_vertices=8, beta=0.5)
-    with pytest.raises(ValueError):
-        ExperimentSpec(mode="ctqw", n_vertices=8, steps=10)
-    with pytest.raises(ValueError):
-        ExperimentSpec(mode="ctqw", n_vertices=8, corrected=True, gamma=0.1)
-    with pytest.raises(ValueError):
-        ExperimentSpec(mode="ctqw", n_vertices=8, samples=1)
-    with pytest.raises(ValueError):
-        ExperimentSpec(mode="dtqw-full", n_vertices=8, marked=8)
+        WalkSpec(mode="dtqw-full", n_vertices=8, marked=8)
     # the blocked point is allowed when uncorrected
-    ExperimentSpec(mode="dtqw-full", n_vertices=8, beta=1.0)
+    WalkSpec(mode="dtqw-full", n_vertices=8, beta=1.0)
 
 
 def test_full_and_reduced_modes_agree():
     kwargs = dict(n_vertices=16, beta=0.4, corrected=True, steps=60)
-    full = run_experiment(ExperimentSpec(mode="dtqw-full", **kwargs))
-    reduced = run_experiment(ExperimentSpec(mode="dtqw-reduced", **kwargs))
+    full = run_experiment(WalkSpec(mode="dtqw-full", **kwargs))
+    reduced = run_experiment(WalkSpec(mode="dtqw-reduced", **kwargs))
     assert np.abs(full.probabilities - reduced.probabilities).max() < 1e-10
     buf_full, buf_reduced = io.StringIO(), io.StringIO()
     write_curve_csv(full, buf_full)
@@ -74,8 +80,25 @@ def test_full_and_reduced_modes_agree():
     assert len(full_rows) == len(reduced_rows) == 62
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 24),
+    beta=st.floats(0.0, 1.0, exclude_max=True),
+    corrected=st.booleans(),
+    steps=st.integers(0, 60),
+    data=st.data(),
+)
+def test_full_matches_reduced_for_any_marked_vertex(n, beta, corrected, steps, data):
+    # The reduced engine never sees the marked vertex; the full one does.
+    marked = data.draw(st.integers(1, n - 1), label="marked")
+    kwargs = dict(n_vertices=n, beta=beta, corrected=corrected, steps=steps, marked=marked)
+    full = run_experiment(WalkSpec(mode="dtqw-full", **kwargs))
+    reduced = run_experiment(WalkSpec(mode="dtqw-reduced", **kwargs))
+    assert np.abs(full.probabilities - reduced.probabilities).max() < 1e-10
+
+
 def test_result_fields_and_round_trip():
-    spec = ExperimentSpec(mode="dtqw-full", n_vertices=16, beta=0.4, corrected=True, steps=40)
+    spec = WalkSpec(mode="dtqw-full", n_vertices=16, beta=0.4, corrected=True, steps=40)
     result = run_experiment(spec)
     assert result.probabilities.shape == (41,)
     assert result.x[0] == 0 and result.x[-1] == 40
@@ -92,36 +115,36 @@ def test_result_fields_and_round_trip():
 
 def test_default_windows_contain_peak():
     for beta in (0.0, 0.8):
-        spec = ExperimentSpec(mode="dtqw-reduced", n_vertices=256, beta=beta, corrected=True)
+        spec = WalkSpec(mode="dtqw-reduced", n_vertices=256, beta=beta, corrected=True)
         result = run_experiment(spec)
         assert 0 < result.peak_index < len(result.probabilities) - 1
 
 
 def test_summary_lines():
     corrected = run_experiment(
-        ExperimentSpec(mode="dtqw-reduced", n_vertices=64, beta=0.4, corrected=True, steps=30)
+        WalkSpec(mode="dtqw-reduced", n_vertices=64, beta=0.4, corrected=True, steps=30)
     )
     assert "predicted t* = " in summary_line(corrected)
     uncorrected = run_experiment(
-        ExperimentSpec(mode="dtqw-reduced", n_vertices=64, beta=0.4, steps=30)
+        WalkSpec(mode="dtqw-reduced", n_vertices=64, beta=0.4, steps=30)
     )
     assert "no runtime prediction" in summary_line(uncorrected)
-    ctqw = run_experiment(ExperimentSpec(mode="ctqw", n_vertices=64, epsilon=0.5, corrected=True))
+    ctqw = run_experiment(CtqwSpec(n_vertices=64, epsilon=0.5, corrected=True))
     assert "predicted peak time" in summary_line(ctqw)
     miscalibrated = run_experiment(
-        ExperimentSpec(mode="ctqw", n_vertices=64, epsilon=0.5, samples=50)
+        CtqwSpec(n_vertices=64, epsilon=0.5, samples=50)
     )
     assert "miscalibrated" in summary_line(miscalibrated)
 
 
 def test_curve_csv_golden_prefix():
-    result = run_experiment(ExperimentSpec(mode="dtqw-full", n_vertices=64, steps=2))
+    result = run_experiment(WalkSpec(mode="dtqw-full", n_vertices=64, steps=2))
     buf = io.StringIO()
     write_curve_csv(result, buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "step,probability"
     assert lines[1] == "0,0.015625"  # 1/64 is exact in decimal
-    ctqw = run_experiment(ExperimentSpec(mode="ctqw", n_vertices=64, samples=3, t_max=1.0))
+    ctqw = run_experiment(CtqwSpec(n_vertices=64, samples=3, t_max=1.0))
     buf = io.StringIO()
     write_curve_csv(ctqw, buf)
     lines = buf.getvalue().splitlines()
@@ -169,6 +192,37 @@ def test_sweep_workers_deterministic():
         run_sweep([], [0.0], corrected=False)
     with pytest.raises(ValueError):
         run_sweep([8], [0.0], corrected=False, workers=0)
+
+
+def test_sweep_workers_clamped_to_grid_and_cpus(monkeypatch):
+    # A recording stand-in for the pool: the clamp is checked without ever
+    # starting a process, whatever count run_sweep asks for.
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    run_sweep([8], [0.0], corrected=False, steps=3, workers=100_000)
+    assert seen == []  # one grid point runs in this process
+    run_sweep([8, 16], [0.0, 0.5], corrected=False, steps=3, workers=100_000)
+    assert seen == [3]  # four points, three CPUs
+    run_sweep([8], [0.0, 0.5], corrected=False, steps=3, workers=100_000)
+    assert seen == [3, 2]  # two points
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_sweep([8, 16], [0.0, 0.5], corrected=False, steps=3, workers=4)
+    assert seen == [3, 2]  # CPU count unknown: one process
 
 
 def test_run_verification_names_and_negative_control():
@@ -317,6 +371,14 @@ def test_cli_ctqw(capsys):
     assert len(lines) == 10
     assert "predicted peak time" in captured.err
     assert main(["ctqw", "--n", "64", "--epsilon", "0.5", "--corrected", "--gamma", "0.1"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--gamma", "--t-max"])
+def test_cli_ctqw_rejects_non_finite(flag, capsys):
+    assert main(["ctqw", "--n", "8", flag, "inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
 
 
 def test_cli_plan(capsys):

@@ -47,6 +47,11 @@ def test_params_validation():
     assert CtqwParams(8, gamma=0.03).rate == 0.03
 
 
+def test_params_reject_non_finite_gamma():
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        CtqwParams(8, gamma=math.inf)
+
+
 @pytest.mark.parametrize("n", [2, 5, 1024])
 def test_initial_probability(n):
     assert ctqw_success_probability(CtqwParams(n), 0.0) == pytest.approx(

@@ -45,6 +45,12 @@ def test_params_validation():
     assert params.dim == 56
 
 
+@pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_eta(eta):
+    with pytest.raises(ValueError, match="eta must be finite"):
+        WalkParams(5, eta=eta)
+
+
 def test_index_mapping_round_trip():
     n = 7
     for v in range(n):
