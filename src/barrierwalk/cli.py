@@ -25,6 +25,7 @@ from .experiments import (
     DEFAULT_MAX_FULL_N,
     VERIFY_DEFAULT_NS,
     VERIFY_DEFAULT_PHIS,
+    _FLOAT_FMT,
     CtqwSpec,
     WalkSpec,
     engine_for,
@@ -52,8 +53,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-_FMT = ".12g"
 
 
 def _parse_bool(text: str) -> bool:
@@ -267,27 +266,27 @@ def _plan_lines(n: int, beta: float) -> list[str]:
     plan = build_phase_plan(n, phi_from_beta(beta))
     lines = [
         f"n = {plan.n_vertices}",
-        f"beta = {beta:{_FMT}}",
-        f"phi = {plan.phi:{_FMT}}",
-        f"theta = {plan.theta:{_FMT}}",
-        f"delta = {plan.delta:{_FMT}}",
+        f"beta = {beta:{_FLOAT_FMT}}",
+        f"phi = {plan.phi:{_FLOAT_FMT}}",
+        f"theta = {plan.theta:{_FLOAT_FMT}}",
+        f"delta = {plan.delta:{_FLOAT_FMT}}",
         f"blocked = {'true' if plan.blocked else 'false'}",
     ]
     if plan.blocked:
         lines += [
             "eta = none",
-            f"sigma = {plan.sigma:{_FMT}}",
+            f"sigma = {plan.sigma:{_FLOAT_FMT}}",
             "t_star = infinite",
             "t_star_exact = infinite",
             "t_star_large_n = infinite",
         ]
     else:
         lines += [
-            f"eta = {plan.eta:{_FMT}}",
-            f"sigma = {plan.sigma:{_FMT}}",
+            f"eta = {plan.eta:{_FLOAT_FMT}}",
+            f"sigma = {plan.sigma:{_FLOAT_FMT}}",
             f"t_star = {plan.t_star}",
-            f"t_star_exact = {plan.t_star_exact:{_FMT}}",
-            f"t_star_large_n = {plan.t_star_large_n:{_FMT}}",
+            f"t_star_exact = {plan.t_star_exact:{_FLOAT_FMT}}",
+            f"t_star_large_n = {plan.t_star_large_n:{_FLOAT_FMT}}",
         ]
     return lines
 
@@ -357,7 +356,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config) if args.config else {}
         return handler(_resolve(options, args, config))
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
+        # MemoryError: an array too large to allocate, from --steps, --samples
+        # or a raised --max-full-n.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

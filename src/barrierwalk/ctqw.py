@@ -22,22 +22,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .phases import _check_marked
+
 __all__ = [
     "CtqwParams",
     "corrected_gamma",
     "effective_hamiltonian",
-    "ctqw_success_probability",
     "ctqw_success_curve",
     "ctqw_runtime",
 ]
 
 
-def corrected_gamma(n_vertices: int, epsilon: float) -> float:
-    """Jumping rate 1/(N*(1-eps)) that undoes the hop attenuation."""
+def _check_n(n_vertices: int) -> None:
+    # The 2x2 model needs one unmarked vertex, not the discrete walk's two.
     if n_vertices < 2:
         raise ValueError(f"need at least 2 vertices, got {n_vertices}")
+
+
+def _check_epsilon(epsilon: float) -> None:
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
+
+
+def corrected_gamma(n_vertices: int, epsilon: float) -> float:
+    """Jumping rate 1/(N*(1-eps)) that undoes the hop attenuation."""
+    _check_n(n_vertices)
+    _check_epsilon(epsilon)
     return 1.0 / (n_vertices * (1.0 - epsilon))
 
 
@@ -56,18 +66,13 @@ class CtqwParams:
     marked: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_vertices < 2:
-            raise ValueError(f"need at least 2 vertices, got {self.n_vertices}")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
+        _check_n(self.n_vertices)
+        _check_epsilon(self.epsilon)
         if self.gamma is not None and not self.gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.gamma is not None and not math.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma}")
-        if not 0 <= self.marked < self.n_vertices:
-            raise ValueError(
-                f"marked vertex {self.marked} outside [0, {self.n_vertices})"
-            )
+        _check_marked(self.marked, self.n_vertices)
 
     @property
     def rate(self) -> float:
@@ -97,8 +102,10 @@ def _eigensystem(params: CtqwParams) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def ctqw_success_curve(params: CtqwParams, times: np.ndarray) -> np.ndarray:
-    """Success probability at each time in `times` (all must be >= 0)."""
+    """Success probability at each time in `times` (all finite and >= 0)."""
     t = np.asarray(times, dtype=np.float64)
+    if not np.isfinite(t).all():
+        raise ValueError("evolution times must be finite")
     if t.size and t.min() < 0.0:
         raise ValueError("evolution times must be non-negative")
     evals, evecs, coeffs = _eigensystem(params)
@@ -108,15 +115,7 @@ def ctqw_success_curve(params: CtqwParams, times: np.ndarray) -> np.ndarray:
     return np.abs(amps) ** 2
 
 
-def ctqw_success_probability(params: CtqwParams, t: float) -> float:
-    """Probability of measuring the marked vertex after evolving for time t."""
-    if not t >= 0.0:
-        raise ValueError(f"evolution time must be non-negative, got {t}")
-    return float(ctqw_success_curve(params, np.array([t]))[0])
-
-
 def ctqw_runtime(n_vertices: int) -> float:
     """Time pi*sqrt(N)/2 at which the corrected (or error-free) walk peaks."""
-    if n_vertices < 2:
-        raise ValueError(f"need at least 2 vertices, got {n_vertices}")
+    _check_n(n_vertices)
     return math.pi * math.sqrt(n_vertices) / 2.0

@@ -27,6 +27,7 @@ from .ctqw import CtqwParams, corrected_gamma, ctqw_runtime, ctqw_success_curve
 from .phases import (
     _HALF_PI,
     BlockedRegimeError,
+    _check_steps,
     corrected_eta,
     hoyer_residual,
     overlap_angle,
@@ -105,8 +106,8 @@ class WalkSpec:
             raise ValueError(
                 f"mode must be dtqw-full or dtqw-reduced, got {self.mode!r}"
             )
-        if self.steps is not None and self.steps < 0:
-            raise ValueError(f"steps must be non-negative, got {self.steps}")
+        if self.steps is not None:
+            _check_steps(self.steps)
         if self.corrected and self.beta == 1.0:
             raise BlockedRegimeError(
                 "beta = 1 blocks every hop; the corrected walk does not exist"
@@ -362,6 +363,25 @@ def write_sweep_csv(rows: Sequence[SweepRow], out: TextIO) -> None:
         )
 
 
+# Each verify check, in report order: name -> tolerance on its worst deviation.
+_CHECK_TOLERANCES = {
+    # max |M^dag M - I| over all 3x3 operators
+    "reduced-unitarity": 1e-12,
+    # coin_oracle @ psi = -psi, any eta
+    "psi-minus-one-eigenvector": 1e-12,
+    # matching defect at the eta in use
+    "hoyer-residual": 1e-12,
+    # amplitude spread inside ab/ba/bb classes
+    "symmetry-classes": 1e-10,
+    # full-state component outside the subspace
+    "projection-residual": 1e-10,
+    # per-step success-probability difference
+    "full-vs-reduced": 1e-10,
+    # |norm - 1| along full trajectories
+    "norm-conservation": 1e-10,
+}
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of one named verification check (max deviation over its grid)."""
@@ -381,6 +401,10 @@ def _eta_values(phi: float, n: int) -> list[float]:
     return [0.0, corrected_eta(phi, n)]
 
 
+def _note(worst: dict[str, float], name: str, deviation: float) -> None:
+    worst[name] = max(worst[name], deviation)
+
+
 def run_verification(
     n_values: Sequence[int] = VERIFY_DEFAULT_NS,
     phi_values: Sequence[float] = VERIFY_DEFAULT_PHIS,
@@ -389,15 +413,7 @@ def run_verification(
 ) -> list[CheckResult]:
     """Cross-module invariant suite; every check reports its worst deviation.
 
-    Checks, with tolerances:
-      reduced-unitarity        max |M^dag M - I| over all 3x3 operators   1e-12
-      psi-minus-one-eigenvector  coin_oracle @ psi = -psi, any eta        1e-12
-      hoyer-residual           matching defect at the eta in use          1e-12
-      symmetry-classes         amplitude spread inside ab/ba/bb classes   1e-10
-      projection-residual      full-state component outside the subspace  1e-10
-      full-vs-reduced          per-step success-probability difference    1e-10
-      norm-conservation        |norm - 1| along full trajectories         1e-10
-
+    The checks and their tolerances are listed in _CHECK_TOLERANCES.
     force_eta_zero makes the Hoyer check use eta = 0 where the corrected
     phase is required; it exists as a negative control (any phi > 0 in the
     grid then fails) and affects no other check.
@@ -406,52 +422,32 @@ def run_verification(
         raise ValueError("verification needs at least one N and one phi")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    unitarity = 0.0
-    eigenvector = 0.0
-    hoyer = 0.0
-    symmetry = 0.0
-    residual = 0.0
-    equivalence = 0.0
-    norm_drift = 0.0
+    worst = dict.fromkeys(_CHECK_TOLERANCES, 0.0)
     eye = np.eye(3)
     for n in n_values:
         for phi in phi_values:
             for eta in _eta_values(phi, n):
                 ops = build_reduced_operators(n, phi, eta)
                 for matrix in (ops.shift, ops.coin_oracle, ops.step):
-                    unitarity = max(
-                        unitarity,
-                        float(np.abs(matrix.conj().T @ matrix - eye).max()),
-                    )
+                    _note(worst, "reduced-unitarity",
+                          float(np.abs(matrix.conj().T @ matrix - eye).max()))
                 psi = psi_minus_one(n)
-                eigenvector = max(
-                    eigenvector,
-                    float(np.abs(ops.coin_oracle @ psi + psi).max()),
-                )
-                sym, res, equiv, drift = _trajectory_deviations(n, phi, eta, steps)
-                symmetry = max(symmetry, sym)
-                residual = max(residual, res)
-                equivalence = max(equivalence, equiv)
-                norm_drift = max(norm_drift, drift)
+                _note(worst, "psi-minus-one-eigenvector",
+                      float(np.abs(ops.coin_oracle @ psi + psi).max()))
+                _trajectory_deviations(n, phi, eta, steps, worst)
             if phi != _HALF_PI:
                 eta_used = 0.0 if force_eta_zero else corrected_eta(phi, n)
-                hoyer = max(
-                    hoyer, abs(hoyer_residual(phi, eta_used, overlap_angle(n)))
-                )
+                _note(worst, "hoyer-residual",
+                      abs(hoyer_residual(phi, eta_used, overlap_angle(n))))
     return [
-        CheckResult("reduced-unitarity", unitarity, 1e-12),
-        CheckResult("psi-minus-one-eigenvector", eigenvector, 1e-12),
-        CheckResult("hoyer-residual", hoyer, 1e-12),
-        CheckResult("symmetry-classes", symmetry, 1e-10),
-        CheckResult("projection-residual", residual, 1e-10),
-        CheckResult("full-vs-reduced", equivalence, 1e-10),
-        CheckResult("norm-conservation", norm_drift, 1e-10),
+        CheckResult(name, worst[name], tolerance)
+        for name, tolerance in _CHECK_TOLERANCES.items()
     ]
 
 
 def _trajectory_deviations(
-    n: int, phi: float, eta: float, steps: int
-) -> tuple[float, float, float, float]:
+    n: int, phi: float, eta: float, steps: int, worst: dict[str, float]
+) -> None:
     # One full-space trajectory, checked step by step against everything the
     # 3D reduction promises: class-wise equal amplitudes, no leakage out of
     # the subspace, matching success probabilities, unit norm.
@@ -459,23 +455,13 @@ def _trajectory_deviations(
     classes = symmetry_classes(n, params.marked)
     reduced_probs = evolve_reduced(n, phi, eta, steps)
     state = initial_state(params)
-    symmetry = 0.0
-    residual = 0.0
-    equivalence = 0.0
-    norm_drift = 0.0
     for t in range(steps + 1):
         if t > 0:
             state = step(state, params)
         for idx in classes:
             block = state[idx]
-            symmetry = max(
-                symmetry, float(np.abs(block - block.mean()).max())
-            )
-        _, res = project(state, n, params.marked)
-        residual = max(residual, res)
-        equivalence = max(
-            equivalence,
-            abs(success_probability(state, params.marked) - reduced_probs[t]),
-        )
-        norm_drift = max(norm_drift, abs(float(np.linalg.norm(state)) - 1.0))
-    return symmetry, residual, equivalence, norm_drift
+            _note(worst, "symmetry-classes", float(np.abs(block - block.mean()).max()))
+        _note(worst, "projection-residual", project(state, n, params.marked)[1])
+        _note(worst, "full-vs-reduced",
+              abs(success_probability(state, params.marked) - reduced_probs[t]))
+        _note(worst, "norm-conservation", abs(float(np.linalg.norm(state)) - 1.0))

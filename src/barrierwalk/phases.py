@@ -54,6 +54,21 @@ def _check_phi(phi: float, allow_blocked: bool) -> None:
         )
 
 
+def _check_marked(marked: int, n_vertices: int) -> None:
+    if not 0 <= marked < n_vertices:
+        raise ValueError(f"marked vertex {marked} outside [0, {n_vertices})")
+
+
+def _check_steps(steps: int) -> None:
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
+
+
+def _check_eta(eta: float) -> None:
+    if not math.isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta}")
+
+
 def overlap_angle(n_vertices: int) -> float:
     """Angle theta between the uniform state and the unmarked subspace.
 

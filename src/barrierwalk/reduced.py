@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .phases import _check_n, _check_phi
+from .phases import _check_eta, _check_marked, _check_n, _check_phi, _check_steps
 from .walk import _slot_endpoints
 
 __all__ = [
@@ -67,8 +67,7 @@ def build_reduced_operators(
     """Construct the reduced shift, combined coin/oracle, and step matrices."""
     _check_n(n_vertices)
     _check_phi(phi, allow_blocked=True)
-    if not math.isfinite(eta):
-        raise ValueError(f"eta must be finite, got {eta}")
+    _check_eta(eta)
     n = n_vertices
     # Flip-flop shift swaps ab <-> ba and fixes bb; the barrier mixes in
     # i*sin(phi) of the identity.
@@ -156,8 +155,7 @@ def symmetry_classes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index arrays of the ab, ba, bb classes in the flat full-space layout."""
     _check_n(n_vertices)
-    if not 0 <= marked < n_vertices:
-        raise ValueError(f"marked vertex {marked} outside [0, {n_vertices})")
+    _check_marked(marked, n_vertices)
     v, w = _slot_endpoints(n_vertices)
     ab = np.flatnonzero(v == marked)
     ba = np.flatnonzero((v != marked) & (w == marked))
@@ -214,8 +212,7 @@ def evolve_reduced(
     n_vertices: int, phi: float, eta: float, steps: int
 ) -> np.ndarray:
     """Success-probability trajectory from the 3x3 model; entry t is after t steps."""
-    if steps < 0:
-        raise ValueError(f"steps must be non-negative, got {steps}")
+    _check_steps(steps)
     ops = build_reduced_operators(n_vertices, phi, eta)
     state = reduced_initial_state(n_vertices)
     probs = np.empty(steps + 1)

@@ -26,13 +26,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .phases import _check_n, _check_phi
+from .phases import _check_eta, _check_marked, _check_n, _check_phi, _check_steps
 
 __all__ = [
     "WalkParams",
     "vertex_count",
-    "neighbor_vertex",
-    "coin_index",
     "initial_state",
     "apply_lazy_shift",
     "apply_coin",
@@ -61,12 +59,8 @@ class WalkParams:
     def __post_init__(self) -> None:
         _check_n(self.n_vertices)
         _check_phi(self.phi, allow_blocked=True)
-        if not math.isfinite(self.eta):
-            raise ValueError(f"eta must be finite, got {self.eta}")
-        if not 0 <= self.marked < self.n_vertices:
-            raise ValueError(
-                f"marked vertex {self.marked} outside [0, {self.n_vertices})"
-            )
+        _check_eta(self.eta)
+        _check_marked(self.marked, self.n_vertices)
 
     @property
     def alpha(self) -> float:
@@ -89,18 +83,6 @@ def vertex_count(dim: int) -> int:
     if n < 3 or n * (n - 1) != dim:
         raise ValueError(f"state length {dim} is not N*(N-1) for any N >= 3")
     return n
-
-
-def neighbor_vertex(n_vertices: int, v: int, c: int) -> int:
-    """Vertex addressed by coin slot c at vertex v."""
-    return c if c < v else c + 1
-
-
-def coin_index(n_vertices: int, v: int, w: int) -> int:
-    """Coin slot at vertex v that points to neighbor w."""
-    if v == w:
-        raise ValueError("a vertex is not its own neighbor")
-    return w if w < v else w - 1
 
 
 def _slot_endpoints(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -156,8 +138,7 @@ def apply_oracle(state: np.ndarray, marked: int, eta: float = 0.0) -> np.ndarray
     eta = 0 is the plain sign flip at the marked vertex.
     """
     arr, n = _as_state(state)
-    if not 0 <= marked < n:
-        raise ValueError(f"marked vertex {marked} outside [0, {n})")
+    _check_marked(marked, n)
     out = arr.copy()
     out[marked * (n - 1) : (marked + 1) * (n - 1)] *= -np.exp(-1j * eta)
     return out
@@ -183,16 +164,14 @@ def step(state: np.ndarray, params: WalkParams) -> np.ndarray:
 def success_probability(state: np.ndarray, marked: int) -> float:
     """Total probability on the marked vertex across its coin directions."""
     arr, n = _as_state(state)
-    if not 0 <= marked < n:
-        raise ValueError(f"marked vertex {marked} outside [0, {n})")
+    _check_marked(marked, n)
     block = arr[marked * (n - 1) : (marked + 1) * (n - 1)]
     return float(np.real(np.vdot(block, block)))
 
 
 def evolve(params: WalkParams, steps: int) -> np.ndarray:
     """Success-probability trajectory; entry t is after t steps (entry 0 = 1/N)."""
-    if steps < 0:
-        raise ValueError(f"steps must be non-negative, got {steps}")
+    _check_steps(steps)
     state = initial_state(params)
     probs = np.empty(steps + 1)
     probs[0] = success_probability(state, params.marked)

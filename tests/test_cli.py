@@ -373,6 +373,21 @@ def test_cli_ctqw(capsys):
     assert main(["ctqw", "--n", "64", "--epsilon", "0.5", "--corrected", "--gamma", "0.1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--mode", "dtqw-reduced", "--n", "16", "--steps", str(10**17)],
+        ["ctqw", "--n", "16", "--samples", str(10**17)],
+    ],
+)
+def test_cli_unallocatable_size_is_exit_2(argv, capsys):
+    # 10**17 float64 values exceed any address space, so numpy fails at once.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("flag", ["--gamma", "--t-max"])
 def test_cli_ctqw_rejects_non_finite(flag, capsys):
     assert main(["ctqw", "--n", "8", flag, "inf"]) == 2

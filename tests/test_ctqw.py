@@ -10,7 +10,6 @@ from barrierwalk.ctqw import (
     corrected_gamma,
     ctqw_runtime,
     ctqw_success_curve,
-    ctqw_success_probability,
     effective_hamiltonian,
 )
 
@@ -54,16 +53,16 @@ def test_params_reject_non_finite_gamma():
 
 @pytest.mark.parametrize("n", [2, 5, 1024])
 def test_initial_probability(n):
-    assert ctqw_success_probability(CtqwParams(n), 0.0) == pytest.approx(
+    assert ctqw_success_curve(CtqwParams(n), np.array([0.0]))[0] == pytest.approx(
         1.0 / n, abs=1e-14
     )
     with pytest.raises(ValueError):
-        ctqw_success_probability(CtqwParams(n), -1.0)
+        ctqw_success_curve(CtqwParams(n), np.array([-1.0]))
 
 
 def test_peak_probability_barrier_free():
     params = CtqwParams(1024)
-    assert ctqw_success_probability(params, ctqw_runtime(1024)) >= 0.99
+    assert ctqw_success_curve(params, np.array([ctqw_runtime(1024)]))[0] >= 0.99
 
 
 @pytest.mark.parametrize("epsilon", [0.25, 0.5, 0.9])
@@ -123,5 +122,11 @@ def test_probability_bounds_and_unitarity():
 
 
 def test_curve_rejects_negative_times():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be non-negative"):
         ctqw_success_curve(CtqwParams(8), np.array([0.0, -0.5]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_curve_rejects_non_finite_times(bad):
+    with pytest.raises(ValueError, match="evolution times must be finite"):
+        ctqw_success_curve(CtqwParams(8), np.array([0.0, bad]))

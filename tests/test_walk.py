@@ -11,10 +11,8 @@ from barrierwalk.walk import (
     apply_coin,
     apply_lazy_shift,
     apply_oracle,
-    coin_index,
     evolve,
     initial_state,
-    neighbor_vertex,
     step,
     success_probability,
     vertex_count,
@@ -49,19 +47,6 @@ def test_params_validation():
 def test_params_reject_non_finite_eta(eta):
     with pytest.raises(ValueError, match="eta must be finite"):
         WalkParams(5, eta=eta)
-
-
-def test_index_mapping_round_trip():
-    n = 7
-    for v in range(n):
-        for w in range(n):
-            if v == w:
-                continue
-            c = coin_index(n, v, w)
-            assert 0 <= c < n - 1
-            assert neighbor_vertex(n, v, c) == w
-    with pytest.raises(ValueError):
-        coin_index(n, 3, 3)
 
 
 def test_vertex_count():
