@@ -63,8 +63,10 @@ __all__ = [
     "run_verification",
 ]
 
-# Full-space states above this N cost >16.8M complex amplitudes; default to
-# the reduced model beyond it unless the caller raises the cap explicitly.
+# Full-space states above this N cost >16.8M complex amplitudes (268 MB);
+# the full engine holds about one state, so the cap bounds its memory to
+# about that.  Default to the reduced model beyond it unless the caller
+# raises the cap explicitly.
 DEFAULT_MAX_FULL_N = 4096
 
 VERIFY_DEFAULT_NS = (4, 16, 64)

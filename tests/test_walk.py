@@ -1,10 +1,15 @@
 """Full-space walk engine versus definitions and dense references."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from barrierwalk import walk
 from barrierwalk.phases import corrected_eta
 from barrierwalk.walk import (
     WalkParams,
@@ -163,6 +168,62 @@ def test_step_matches_dense_operator(n, phi, marked):
     state = random_state(n * (n - 1), seed=41 + n + marked)
     expected = dense_step(n, phi, eta, marked) @ state
     np.testing.assert_allclose(step(state, params), expected, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("tile", [2, 3])
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+@pytest.mark.parametrize("phi", [0.0, 0.3])
+def test_tiled_step_matches_dense_operator(monkeypatch, tile, n, phi):
+    # tiles far below N: off-diagonal tile pairs, a short last tile (tile 2
+    # at odd N, tile 3 at N = 5, 7, 8) and the marked vertex in every tile
+    monkeypatch.setattr(walk, "_TILE", tile)
+    eta = corrected_eta(phi, n)
+    state = random_state(n * (n - 1), seed=97 + n)
+    for marked in range(n):
+        params = WalkParams(n, phi=phi, eta=eta, marked=marked)
+        expected = dense_step(n, phi, eta, marked) @ state
+        np.testing.assert_allclose(step(state, params), expected, rtol=0, atol=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 300),
+    phi=st.floats(0.0, math.pi / 2),
+    eta=st.floats(allow_nan=False, allow_infinity=False),
+    tile=st.sampled_from([5, 16, walk._TILE]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_step_is_the_apply_composition_and_unitary(n, phi, eta, tile, seed, data):
+    marked = data.draw(st.integers(0, n - 1), label="marked")
+    params = WalkParams(n, phi=phi, eta=eta, marked=marked)
+    state = random_state(n * (n - 1), seed=seed)
+    before = state.copy()
+    with mock.patch.object(walk, "_TILE", tile):
+        out = step(state, params)
+    reference = apply_lazy_shift(apply_coin(apply_oracle(state, marked, eta), eta), phi)
+    assert np.array_equal(out, reference)
+    assert abs(np.linalg.norm(out) - 1.0) <= 1e-13
+    assert np.array_equal(state, before)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_step_and_evolve_memory_stay_near_one_state():
+    # evolve updates its one state in place; step adds only its output copy.
+    # Beyond the states, only tile-sized scratch and O(N) vectors are allowed.
+    phi = math.asin(0.8)
+    params = WalkParams(1024, phi=phi, eta=corrected_eta(phi, 1024), marked=5)
+    state_bytes = 16 * params.dim
+    assert _traced_peak(lambda: evolve(params, 3)) <= 1.25 * state_bytes
+    assert _traced_peak(lambda: step(initial_state(params), params)) <= 2.25 * state_bytes
 
 
 def test_step_rejects_mismatched_state():
