@@ -16,7 +16,6 @@ as the hop attenuation epsilon instead.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
@@ -42,6 +41,7 @@ from .reduced import (
     psi_minus_one,
     symmetry_classes,
 )
+from . import walk
 from .walk import WalkParams, evolve, initial_state, step, success_probability
 
 __all__ = [
@@ -331,8 +331,9 @@ def run_sweep(
     """Run the (N, beta) grid, N-major, one row per point.
 
     Grid points are independent simulations; workers > 1 fans them out to
-    processes, at most one per grid point and per CPU.  Row order is the
-    grid order regardless of completion order.
+    processes, at most one per grid point and per usable CPU, and each
+    process's full-space steps split only its share of the CPUs.  Row order
+    is the grid order regardless of completion order.
     """
     if not n_values or not beta_values:
         raise ValueError("sweep needs at least one N and one beta")
@@ -345,11 +346,20 @@ def run_sweep(
     ]
     # The pool starts every worker it is allowed at the first submit, so an
     # unclamped count forks that many processes whatever the grid size.
-    workers = min(workers, len(grid), os.cpu_count() or 1)
+    cpus = walk._usable_cpus()
+    workers = min(workers, len(grid), cpus)
     if workers == 1:
         return [_sweep_point(spec) for spec in grid]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_share_cpus, initargs=(cpus // workers,)
+    ) as pool:
         return list(pool.map(_sweep_point, grid))
+
+
+def _share_cpus(threads: int) -> None:
+    # Sweep worker initializer: each worker's full-space steps use its share
+    # of the CPUs, so the workers' kernel threads do not outnumber them.
+    walk._THREADS = threads
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], out: TextIO) -> None:

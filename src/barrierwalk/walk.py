@@ -21,11 +21,20 @@ The apply_* functions are the readable reference, one operator each.  step
 and evolve run all three as one in-place pass over the N x (N-1) matrix of
 amplitudes, tile pair by tile pair (see _step_in_place): no index
 permutation or state-sized temporary, and bitwise the reference's result.
+Tile rows of that pass touch disjoint amplitudes, so each evolve or step
+call hands them, and the row sums taken before them, to a thread pool of
+one thread per usable CPU (the affinity mask), which ends with the call.
+A call splits only when every thread gets at least two 128-vertex tile rows
+(N > 384 on two CPUs); smaller N runs inline.  Every amplitude gets the
+same floating-point operations whatever the thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -104,11 +113,42 @@ def _slot_endpoints(n: int) -> tuple[np.ndarray, np.ndarray]:
 _TILE = 128
 
 
-@lru_cache(maxsize=4)
+def _usable_cpus() -> int:
+    # CPUs this process may run on: the affinity mask (taskset, cpusets)
+    # where the platform has one, else the host's count.
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# Threads one evolve or step call may split its state-sized passes across;
+# run_sweep's worker processes lower it to their share of the CPUs.
+_THREADS = _usable_cpus()
+
+
+def _kernel_pool(n: int) -> ThreadPoolExecutor | nullcontext[None]:
+    # The pool _step_in_place spreads its tile rows over during one evolve or
+    # step call; its threads take the next tile row as they finish one, and
+    # all end with the call, so none is alive when run_sweep forks its worker
+    # processes.  Split only when every thread gets at least two tile rows:
+    # a step at N = 200 (two 128-rows) ran slower split in two, one at
+    # N = 512 faster.  Unsplit, the call has no pool and no thread.
+    threads = min(_THREADS, -(-n // _TILE) // 2)
+    return ThreadPoolExecutor(threads) if threads > 1 else nullcontext()
+
+
 def _flip_flop_permutation(n: int) -> np.ndarray:
     # perm[index(v, ->w)] = index(w, ->v); an involution on 0..N(N-1)-1
     v, w = _slot_endpoints(n)
-    perm = w * (n - 1) + (v - (v > w))
+    return w * (n - 1) + (v - (v > w))
+
+
+@lru_cache(maxsize=4)
+def _tile_permutation(b: int) -> np.ndarray:
+    # The kernel's diagonal tiles reuse the permutation at tile size; the
+    # full-N one (up to 134 MB at N = 4096) is never cached.
+    perm = _flip_flop_permutation(b)
     perm.flags.writeable = False
     return perm
 
@@ -168,55 +208,79 @@ def step(state: np.ndarray, params: WalkParams) -> np.ndarray:
             f"state is for {n} vertices but params expect {params.n_vertices}"
         )
     out = arr.copy()
-    _step_in_place(out, params)
+    with _kernel_pool(n) as pool:
+        _step_in_place(out, params, pool)
     return out
 
 
-def _step_in_place(flat: np.ndarray, params: WalkParams) -> None:
+def _step_in_place(
+    flat: np.ndarray, params: WalkParams, pool: ThreadPoolExecutor | None
+) -> None:
     # step() on a contiguous complex128 state, overwriting it, with the same
     # floating-point operations as the apply_* composition.  Amplitude (v, ->w)
     # and its flip-flop partner (w, ->v) sit in the same pair of square tiles
     # (vertex tile I pointing into tile J, and J back into I), and the coin
     # needs only the row means taken up front, so each tile pair is read and
-    # rewritten once, through three tile-sized scratch buffers.
+    # rewritten once.  Both state-sized passes go tile row by tile row, across
+    # the pool's threads if there is one (see _kernel_pool); list() drains
+    # the map, which also raises what any tile row raised.
     n = params.n_vertices
     a = flat.reshape(n, n - 1)
     row = a[params.marked]
     row *= -np.exp(-1j * params.eta)
-    # apply_coin's (1 + e^{i eta}) * mean, with np.mean's own sum and division
-    cm = (1.0 + np.exp(1j * params.eta)) * (np.add.reduce(a, 1) / (n - 1))
-    cm_col = cm[:, None]
-    cos, isin = math.cos(params.phi), 1j * math.sin(params.phi)
     b = min(_TILE, n)
+    starts = range(0, n, b)
+    run = map if pool is None else pool.map
+    # apply_coin's (1 + e^{i eta}) * mean, with np.mean's own sum and division;
+    # each row is still summed by one pairwise reduce, whichever thread has it
+    # (unsplit, one reduce call takes every row; one call per tile row would
+    # add about 1 us each)
+    sums = np.empty(n, dtype=np.complex128)
+    rows = [slice(0, n)] if pool is None else [slice(i0, i0 + b) for i0 in starts]
+    list(run(lambda r: np.add.reduce(a[r], 1, out=sums[r]), rows))
+    sums /= n - 1
+    cm = (1.0 + np.exp(1j * params.eta)) * sums
+    cos, isin = math.cos(params.phi), 1j * math.sin(params.phi)
+    list(run(lambda i0: _coin_shift_tile_row(a, i0, b, cm, cos, isin), starts))
+
+
+def _coin_shift_tile_row(
+    a: np.ndarray, i0: int, b: int, cm: np.ndarray, cos: float, isin: complex
+) -> None:
+    # Coin and lazy shift of tiles (I, J) and (J, I) for J >= I, I the tile
+    # of vertices i0..i0+b-1.  Tile rows touch disjoint amplitudes, so any
+    # number of them may run at once, each through its own three tile-sized
+    # scratch buffers.
+    n = a.shape[0]
+    i1 = min(i0 + b, n)
+    cm_i = cm[i0:i1, None]
     scratch = np.empty((3, b * b), dtype=np.complex128)
-    x, y = scratch[0], scratch[1]
-    for i0 in range(0, n, b):
-        i1 = min(i0 + b, n)
-        # Vertices i0..i1-1 among themselves: the flat layout of K_(i1-i0).
-        d = a[i0:i1, i0 : i1 - 1]
-        coin = x[: d.size].reshape(d.shape)
-        np.subtract(cm_col[i0:i1], d, out=coin)
-        # the indices are in range; mode="raise" would buffer the output
-        x[: d.size].take(_flip_flop_permutation(i1 - i0), out=y[: d.size], mode="wrap")
-        np.multiply(y[: d.size].reshape(d.shape), cos, out=d)
-        coin *= isin
-        d += coin
-        for j0 in range(i1, n, b):
-            j1 = min(j0 + b, n)
-            # Slots of tile i pointing into tile j (w > v, so slot w - 1),
-            # and the transposed slots of tile j pointing back (slot w).
-            u = a[i0:i1, j0 - 1 : j1 - 1]
-            lt = a[j0:j1, i0:i1].T
-            cu, cl, q = scratch[:, : u.size].reshape(3, *u.shape)
-            np.subtract(cm_col[i0:i1], u, out=cu)
-            np.subtract(cm[j0:j1], lt, out=cl)
-            np.multiply(cu, isin, out=q)
-            np.multiply(cl, cos, out=u)
-            u += q
-            cu *= cos
-            cl *= isin
-            # one strided write; the strided views are the slow passes
-            np.add(cu, cl, out=lt)
+    # Vertices i0..i1-1 among themselves: the flat layout of K_(i1-i0).
+    d = a[i0:i1, i0 : i1 - 1]
+    x, y = scratch[0, : d.size], scratch[1, : d.size]
+    coin = x.reshape(d.shape)
+    np.subtract(cm_i, d, out=coin)
+    # the indices are in range; mode="raise" would buffer the output
+    x.take(_tile_permutation(i1 - i0), out=y, mode="wrap")
+    np.multiply(y.reshape(d.shape), cos, out=d)
+    coin *= isin
+    d += coin
+    for j0 in range(i1, n, b):
+        j1 = min(j0 + b, n)
+        # Slots of tile i pointing into tile j (w > v, so slot w - 1),
+        # and the transposed slots of tile j pointing back (slot w).
+        u = a[i0:i1, j0 - 1 : j1 - 1]
+        lt = a[j0:j1, i0:i1].T
+        cu, cl, q = scratch[:, : u.size].reshape(3, *u.shape)
+        np.subtract(cm_i, u, out=cu)
+        np.subtract(cm[j0:j1], lt, out=cl)
+        np.multiply(cu, isin, out=q)
+        np.multiply(cl, cos, out=u)
+        u += q
+        cu *= cos
+        cl *= isin
+        # one strided write; the strided views are the slow passes
+        np.add(cu, cl, out=lt)
 
 
 def success_probability(state: np.ndarray, marked: int) -> float:
@@ -233,7 +297,8 @@ def evolve(params: WalkParams, steps: int) -> np.ndarray:
     state = initial_state(params)
     probs = np.empty(steps + 1)
     probs[0] = success_probability(state, params.marked)
-    for t in range(1, steps + 1):
-        _step_in_place(state, params)
-        probs[t] = success_probability(state, params.marked)
+    with _kernel_pool(params.n_vertices) as pool:
+        for t in range(1, steps + 1):
+            _step_in_place(state, params, pool)
+            probs[t] = success_probability(state, params.marked)
     return probs

@@ -5,13 +5,14 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barrierwalk import experiments
+from barrierwalk import experiments, walk
 from barrierwalk.cli import main
 from barrierwalk.experiments import (
     CtqwSpec,
@@ -200,7 +201,7 @@ def test_sweep_workers_clamped_to_grid_and_cpus(monkeypatch):
     seen = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             seen.append(max_workers)
 
         def __enter__(self):
@@ -213,6 +214,7 @@ def test_sweep_workers_clamped_to_grid_and_cpus(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     run_sweep([8], [0.0], corrected=False, steps=3, workers=100_000)
     assert seen == []  # one grid point runs in this process
@@ -223,6 +225,22 @@ def test_sweep_workers_clamped_to_grid_and_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     run_sweep([8, 16], [0.0, 0.5], corrected=False, steps=3, workers=4)
     assert seen == [3, 2]  # CPU count unknown: one process
+
+
+def test_sweep_workers_share_the_usable_cpus(monkeypatch):
+    # The affinity mask, not the host's CPU count, bounds the workers, and
+    # each worker's full-space steps get an equal share of those CPUs.
+    pool = mock.MagicMock()  # records its arguments; starts no process
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 4, 6, 7}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    for workers in (100_000, 2):
+        run_sweep([8, 16], [0.0, 0.5, 0.8], corrected=False, steps=3, workers=workers)
+    calls = [call.kwargs for call in pool.call_args_list]
+    assert [(c["max_workers"], c["initargs"]) for c in calls] == [(5, (1,)), (2, (2,))]
+    monkeypatch.setattr(walk, "_THREADS", 1)
+    calls[1]["initializer"](*calls[1]["initargs"])
+    assert walk._THREADS == 2
 
 
 def test_run_verification_names_and_negative_control():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barrierwalk.phases import corrected_eta, overlap_angle
 from barrierwalk.reduced import (
@@ -174,6 +176,23 @@ def test_project_round_trip_and_residual():
         project(np.zeros(10), 8)
     with pytest.raises(ValueError):
         embed(np.zeros(4), 8)
+
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(3, 64),
+    parts=st.lists(st.tuples(_UNIT, _UNIT), min_size=3, max_size=3),
+    data=st.data(),
+)
+def test_embed_project_round_trip_any_n_and_marked(n, parts, data):
+    marked = data.draw(st.integers(0, n - 1), label="marked")
+    reduced = np.array([complex(re, im) for re, im in parts])
+    back, residual = project(embed(reduced, n, marked), n, marked)
+    assert np.abs(back - reduced).max() <= 1e-13
+    assert residual < 1e-13
 
 
 def test_project_single_pair_residual():

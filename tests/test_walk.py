@@ -1,6 +1,7 @@
 """Full-space walk engine versus definitions and dense references."""
 
 import math
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -190,21 +191,71 @@ def test_tiled_step_matches_dense_operator(monkeypatch, tile, n, phi):
     n=st.integers(3, 300),
     phi=st.floats(0.0, math.pi / 2),
     eta=st.floats(allow_nan=False, allow_infinity=False),
-    tile=st.sampled_from([5, 16, walk._TILE]),
+    tile=st.sampled_from([2, 5, 16, walk._TILE]),
+    threads=st.sampled_from([1, 2, 3]),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_step_is_the_apply_composition_and_unitary(n, phi, eta, tile, seed, data):
+def test_step_is_the_apply_composition_and_unitary(
+    n, phi, eta, tile, threads, seed, data
+):
+    # threads > 1 splits the step whenever each thread gets two tile rows,
+    # with a short last tile row whenever tile does not divide N
     marked = data.draw(st.integers(0, n - 1), label="marked")
     params = WalkParams(n, phi=phi, eta=eta, marked=marked)
     state = random_state(n * (n - 1), seed=seed)
     before = state.copy()
-    with mock.patch.object(walk, "_TILE", tile):
+    with mock.patch.object(walk, "_TILE", tile), mock.patch.object(
+        walk, "_THREADS", threads
+    ):
         out = step(state, params)
     reference = apply_lazy_shift(apply_coin(apply_oracle(state, marked, eta), eta), phi)
     assert np.array_equal(out, reference)
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-13
     assert np.array_equal(state, before)
+
+
+def test_split_step_threads_end_with_the_call(monkeypatch):
+    # Two threads split N = 512 (four 128-vertex tile rows) but not N = 256
+    # (two rows); each evolve or step call has its own pool, and no thread
+    # of it is alive once the call returns.
+    monkeypatch.setattr(walk, "_THREADS", 2)
+    pools = []
+    real_pool = walk.ThreadPoolExecutor
+
+    def recording_pool(threads):
+        pools.append(threads)
+        return real_pool(threads)
+
+    monkeypatch.setattr(walk, "ThreadPoolExecutor", recording_pool)
+    before = threading.active_count()
+    for n, expected in ((256, []), (512, [2, 2])):
+        pools.clear()
+        params = WalkParams(n, phi=0.3, eta=corrected_eta(0.3, n), marked=n - 1)
+        evolve(params, 2)
+        assert threading.active_count() == before
+        state = random_state(n * (n - 1), seed=n)
+        out = step(state, params)
+        assert threading.active_count() == before
+        assert pools == expected
+        reference = apply_lazy_shift(
+            apply_coin(apply_oracle(state, params.marked, params.eta), params.eta), 0.3
+        )
+        assert np.array_equal(out, reference)
+
+
+def test_reference_shift_keeps_no_index_alive():
+    # apply_lazy_shift builds its N(N-1) index per call; nothing of that
+    # size may stay alive after it returns (at N = 4096 it is 134 MB).
+    n = 600  # no other test shifts at this N
+    state = random_state(n * (n - 1), seed=5)
+    tracemalloc.start()
+    try:
+        out = apply_lazy_shift(state, 0.3)
+        kept = tracemalloc.get_traced_memory()[0] - out.nbytes
+    finally:
+        tracemalloc.stop()
+    assert kept < 8 * n * (n - 1) / 4
 
 
 def _traced_peak(fn) -> int:
