@@ -41,8 +41,15 @@ from .reduced import (
     psi_minus_one,
     symmetry_classes,
 )
-from . import walk
-from .walk import WalkParams, evolve, initial_state, step, success_probability
+from .walk import (
+    WalkParams,
+    _share_cpus,
+    _usable_cpus,
+    evolve,
+    initial_state,
+    step,
+    success_probability,
+)
 
 __all__ = [
     "DEFAULT_MAX_FULL_N",
@@ -346,7 +353,7 @@ def run_sweep(
     ]
     # The pool starts every worker it is allowed at the first submit, so an
     # unclamped count forks that many processes whatever the grid size.
-    cpus = walk._usable_cpus()
+    cpus = _usable_cpus()
     workers = min(workers, len(grid), cpus)
     if workers == 1:
         return [_sweep_point(spec) for spec in grid]
@@ -354,12 +361,6 @@ def run_sweep(
         max_workers=workers, initializer=_share_cpus, initargs=(cpus // workers,)
     ) as pool:
         return list(pool.map(_sweep_point, grid))
-
-
-def _share_cpus(threads: int) -> None:
-    # Sweep worker initializer: each worker's full-space steps use its share
-    # of the CPUs, so the workers' kernel threads do not outnumber them.
-    walk._THREADS = threads
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], out: TextIO) -> None:

@@ -19,7 +19,7 @@ the phase-matched correction that compensates the barrier (see phases.py).
 
 The apply_* functions are the readable reference, one operator each.  step
 and evolve run all three as one in-place pass over the N x (N-1) matrix of
-amplitudes, tile pair by tile pair (see _step_in_place): no index
+amplitudes, tile pair by tile pair (see _stepper): no index
 permutation or state-sized temporary, and bitwise the reference's result.
 Tile rows of that pass touch disjoint amplitudes, so each evolve or step
 call hands them, and the row sums taken before them, to a thread pool of
@@ -36,7 +36,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -107,7 +108,7 @@ def _slot_endpoints(n: int) -> tuple[np.ndarray, np.ndarray]:
     return v, c + (c >= v)
 
 
-# Side of the square tiles _step_in_place sweeps.  128 ran fastest among
+# Side of the square tiles _stepper sweeps.  128 ran fastest among
 # 48..192 at N = 512..4096 on a 2-vCPU AMD EPYC with 1 MB of L2 per core,
 # which three 256 KB scratch tiles and most of the tile pair fit.
 _TILE = 128
@@ -122,13 +123,19 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Threads one evolve or step call may split its state-sized passes across;
-# run_sweep's worker processes lower it to their share of the CPUs.
+# Threads one evolve or step call may split its state-sized passes across.
 _THREADS = _usable_cpus()
 
 
+def _share_cpus(threads: int) -> None:
+    # run_sweep's worker initializer: each worker process's full-space steps
+    # use its share of the CPUs, so the workers' threads do not outnumber them.
+    global _THREADS
+    _THREADS = threads
+
+
 def _kernel_pool(n: int) -> ThreadPoolExecutor | nullcontext[None]:
-    # The pool _step_in_place spreads its tile rows over during one evolve or
+    # The pool _stepper spreads its tile rows over during one evolve or
     # step call; its threads take the next tile row as they finish one, and
     # all end with the call, so none is alive when run_sweep forks its worker
     # processes.  Split only when every thread gets at least two tile rows:
@@ -209,43 +216,56 @@ def step(state: np.ndarray, params: WalkParams) -> np.ndarray:
         )
     out = arr.copy()
     with _kernel_pool(n) as pool:
-        _step_in_place(out, params, pool)
+        _stepper(out, params, pool)()
     return out
 
 
-def _step_in_place(
+def _stepper(
     flat: np.ndarray, params: WalkParams, pool: ThreadPoolExecutor | None
-) -> None:
-    # step() on a contiguous complex128 state, overwriting it, with the same
-    # floating-point operations as the apply_* composition.  Amplitude (v, ->w)
-    # and its flip-flop partner (w, ->v) sit in the same pair of square tiles
-    # (vertex tile I pointing into tile J, and J back into I), and the coin
-    # needs only the row means taken up front, so each tile pair is read and
-    # rewritten once.  Both state-sized passes go tile row by tile row, across
-    # the pool's threads if there is one (see _kernel_pool); list() drains
-    # the map, which also raises what any tile row raised.
+) -> Callable[[], None]:
+    # A function that applies step() to the contiguous complex128 state flat
+    # in place, with the same floating-point operations as the apply_*
+    # composition; what stays fixed from step to step is prepared here once.
+    # Amplitude (v, ->w) and its flip-flop partner (w, ->v) sit in the same
+    # pair of square tiles (vertex tile I pointing into tile J, and J back
+    # into I), and the coin needs only the row means taken up front, so each
+    # tile pair is read and rewritten once.  Both state-sized passes go tile
+    # row by tile row, across the pool's threads if there is one (see
+    # _kernel_pool); list() drains the map, which also raises what any tile
+    # row raised.
     n = params.n_vertices
     a = flat.reshape(n, n - 1)
-    row = a[params.marked]
-    row *= -np.exp(-1j * params.eta)
+    marked_row = a[params.marked]
+    oracle = -np.exp(-1j * params.eta)
     b = min(_TILE, n)
     starts = range(0, n, b)
-    run = map if pool is None else pool.map
-    # apply_coin's (1 + e^{i eta}) * mean, with np.mean's own sum and division;
-    # each row is still summed by one pairwise reduce, whichever thread has it
-    # (unsplit, one reduce call takes every row; one call per tile row would
-    # add about 1 us each)
     sums = np.empty(n, dtype=np.complex128)
-    rows = [slice(0, n)] if pool is None else [slice(i0, i0 + b) for i0 in starts]
-    list(run(lambda r: np.add.reduce(a[r], 1, out=sums[r]), rows))
-    sums /= n - 1
-    cm = (1.0 + np.exp(1j * params.eta)) * sums
-    cos, isin = math.cos(params.phi), 1j * math.sin(params.phi)
-    list(run(lambda i0: _coin_shift_tile_row(a, i0, b, cm, cos, isin), starts))
+    row_sums = partial(_row_sums, a, b, sums)
+    # apply_coin's (1 + e^{i eta}) * mean, with np.mean's own sum and division.
+    # The product goes to an array of its own, as apply_coin's does: numpy
+    # rounds an in-place complex product over a one-element array differently.
+    coin = 1.0 + np.exp(1j * params.eta)
+    cm = np.empty(n, dtype=np.complex128)
+    coin_shift = partial(_coin_shift_tile_row, a, b, cm, params.alpha, params.beta)
+    run = map if pool is None else pool.map
+
+    def advance() -> None:
+        np.multiply(marked_row, oracle, out=marked_row)
+        list(run(row_sums, starts))
+        np.true_divide(sums, n - 1, out=sums)
+        np.multiply(coin, sums, out=cm)
+        list(run(coin_shift, starts))
+
+    return advance
+
+
+def _row_sums(a: np.ndarray, b: int, sums: np.ndarray, i0: int) -> None:
+    # Sums of rows i0..i0+b-1, each by one pairwise reduce, as np.mean takes.
+    np.add.reduce(a[i0 : i0 + b], 1, out=sums[i0 : i0 + b])
 
 
 def _coin_shift_tile_row(
-    a: np.ndarray, i0: int, b: int, cm: np.ndarray, cos: float, isin: complex
+    a: np.ndarray, b: int, cm: np.ndarray, cos: float, isin: complex, i0: int
 ) -> None:
     # Coin and lazy shift of tiles (I, J) and (J, I) for J >= I, I the tile
     # of vertices i0..i0+b-1.  Tile rows touch disjoint amplitudes, so any
@@ -298,7 +318,8 @@ def evolve(params: WalkParams, steps: int) -> np.ndarray:
     probs = np.empty(steps + 1)
     probs[0] = success_probability(state, params.marked)
     with _kernel_pool(params.n_vertices) as pool:
+        advance = _stepper(state, params, pool)
         for t in range(1, steps + 1):
-            _step_in_place(state, params, pool)
+            advance()
             probs[t] = success_probability(state, params.marked)
     return probs
