@@ -196,7 +196,8 @@ _SWEEP = (
     _Option("steps", int, None, "step count per point (default auto)"),
     _Option("max_full_n", int, DEFAULT_MAX_FULL_N,
             "N above this runs the reduced model (noted in the mode column)"),
-    _Option("workers", int, 1, "process count for grid points (default 1)"),
+    _Option("workers", int, 1,
+            "no effect, every point runs in this process (default 1)"),
     _OUT,
 )
 

@@ -16,7 +16,6 @@ as the hop attenuation epsilon instead.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
@@ -43,11 +42,10 @@ from .reduced import (
 )
 from .walk import (
     WalkParams,
-    _share_cpus,
-    _usable_cpus,
+    _kernel_pool,
+    _stepper,
     evolve,
     initial_state,
-    step,
     success_probability,
 )
 
@@ -311,7 +309,6 @@ class SweepRow:
 
 
 def _sweep_point(spec: WalkSpec) -> SweepRow:
-    # Top-level (picklable) so worker processes can run grid points.
     result = run_experiment(spec)
     n, phi = spec.n_vertices, spec.phi
     blocked = phi == _HALF_PI
@@ -335,12 +332,11 @@ def run_sweep(
     max_full_n: int = DEFAULT_MAX_FULL_N,
     workers: int = 1,
 ) -> list[SweepRow]:
-    """Run the (N, beta) grid, N-major, one row per point.
+    """Run the (N, beta) grid, N-major, one row per point, in this process.
 
-    Grid points are independent simulations; workers > 1 fans them out to
-    processes, at most one per grid point and per usable CPU, and each
-    process's full-space steps split only its share of the CPUs.  Row order
-    is the grid order regardless of completion order.
+    Full-space points already spread their steps over every usable CPU and
+    reduced points take milliseconds, so worker processes would not pay:
+    workers is checked (>= 1) and otherwise has no effect.
     """
     if not n_values or not beta_values:
         raise ValueError("sweep needs at least one N and one beta")
@@ -351,16 +347,7 @@ def run_sweep(
         for n in n_values
         for beta in beta_values
     ]
-    # The pool starts every worker it is allowed at the first submit, so an
-    # unclamped count forks that many processes whatever the grid size.
-    cpus = _usable_cpus()
-    workers = min(workers, len(grid), cpus)
-    if workers == 1:
-        return [_sweep_point(spec) for spec in grid]
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_share_cpus, initargs=(cpus // workers,)
-    ) as pool:
-        return list(pool.map(_sweep_point, grid))
+    return [_sweep_point(spec) for spec in grid]
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], out: TextIO) -> None:
@@ -463,18 +450,21 @@ def _trajectory_deviations(
 ) -> None:
     # One full-space trajectory, checked step by step against everything the
     # 3D reduction promises: class-wise equal amplitudes, no leakage out of
-    # the subspace, matching success probabilities, unit norm.
+    # the subspace, matching success probabilities, unit norm.  It runs on
+    # one stepper, as evolve does, so the kernel is set up once.
     params = WalkParams(n_vertices=n, phi=phi, eta=eta)
     classes = symmetry_classes(n, params.marked)
     reduced_probs = evolve_reduced(n, phi, eta, steps)
     state = initial_state(params)
-    for t in range(steps + 1):
-        if t > 0:
-            state = step(state, params)
-        for idx in classes:
-            block = state[idx]
-            _note(worst, "symmetry-classes", float(np.abs(block - block.mean()).max()))
-        _note(worst, "projection-residual", project(state, n, params.marked)[1])
-        _note(worst, "full-vs-reduced",
-              abs(success_probability(state, params.marked) - reduced_probs[t]))
-        _note(worst, "norm-conservation", abs(float(np.linalg.norm(state)) - 1.0))
+    with _kernel_pool(n) as pool:
+        advance = _stepper(state, params, pool)
+        for t in range(steps + 1):
+            if t > 0:
+                advance()
+            for idx in classes:
+                spread = np.abs(state[idx] - state[idx].mean()).max()
+                _note(worst, "symmetry-classes", float(spread))
+            _note(worst, "projection-residual", project(state, n, params.marked)[1])
+            _note(worst, "full-vs-reduced",
+                  abs(success_probability(state, params.marked) - reduced_probs[t]))
+            _note(worst, "norm-conservation", abs(float(np.linalg.norm(state)) - 1.0))

@@ -114,33 +114,21 @@ def _slot_endpoints(n: int) -> tuple[np.ndarray, np.ndarray]:
 _TILE = 128
 
 
-def _usable_cpus() -> int:
-    # CPUs this process may run on: the affinity mask (taskset, cpusets)
-    # where the platform has one, else the host's count.
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-# Threads one evolve or step call may split its state-sized passes across.
-_THREADS = _usable_cpus()
-
-
-def _share_cpus(threads: int) -> None:
-    # run_sweep's worker initializer: each worker process's full-space steps
-    # use its share of the CPUs, so the workers' threads do not outnumber them.
-    global _THREADS
-    _THREADS = threads
+# Threads one evolve or step call may split its state-sized passes across:
+# the CPUs this process may run on, from the affinity mask (taskset, cpusets)
+# where the platform has one, else the host's count.
+if hasattr(os, "sched_getaffinity"):
+    _THREADS = len(os.sched_getaffinity(0))
+else:
+    _THREADS = os.cpu_count() or 1
 
 
 def _kernel_pool(n: int) -> ThreadPoolExecutor | nullcontext[None]:
     # The pool _stepper spreads its tile rows over during one evolve or
     # step call; its threads take the next tile row as they finish one, and
-    # all end with the call, so none is alive when run_sweep forks its worker
-    # processes.  Split only when every thread gets at least two tile rows:
-    # a step at N = 200 (two 128-rows) ran slower split in two, one at
-    # N = 512 faster.  Unsplit, the call has no pool and no thread.
+    # all end with the call.  Split only when every thread gets at least two
+    # tile rows: a step at N = 200 (two 128-rows) ran slower split in two, one
+    # at N = 512 faster.  Unsplit, the call has no pool and no thread.
     threads = min(_THREADS, -(-n // _TILE) // 2)
     return ThreadPoolExecutor(threads) if threads > 1 else nullcontext()
 

@@ -5,6 +5,8 @@ matrices, sharing no code with the package: the walk step as an
 N(N-1) x N(N-1) unitary assembled entry by entry, and the continuous-time
 Hamiltonian as a full N x N matrix.  Feasible only for small N, which is
 the point: the package's structural O(N^2) updates must reproduce these.
+The 3x3 step is also written out here, for the reduced model's closed form
+to be checked against its plain matrix powers, in floats and in 50 digits.
 """
 
 import numpy as np
@@ -82,6 +84,76 @@ def project_to_reduced(matrix, n, marked=0):
     """Compress a dense full-space operator to the 3x3 symmetric-subspace block."""
     basis = dense_basis_states(n, marked)
     return basis.conj().T @ matrix @ basis
+
+
+def reduced_step(n, phi, eta):
+    """The 3x3 step in the (ab, ba, bb) basis, multiplied out entry by entry.
+
+    Shift rows (i sin phi, cos phi, 0), (cos phi, i sin phi, 0) and
+    (0, 0, e^{i phi}) times coin/oracle rows (-1, 0, 0), (0, ba_ba, ba_bb)
+    and (0, ba_bb, bb_bb).
+    """
+    e = np.exp(1j * eta)
+    c, si = np.cos(phi), 1j * np.sin(phi)
+    root = np.sqrt(n - 2.0)
+    ba_ba = -(n - 2.0 - e) / (n - 1.0)
+    ba_bb = (1.0 + e) * root / (n - 1.0)
+    bb_bb = ((n - 2.0) * e - 1.0) / (n - 1.0)
+    return np.array(
+        [
+            [-si, c * ba_ba, c * ba_bb],
+            [-c, si * ba_ba, si * ba_bb],
+            [0.0, (c + si) * ba_bb, (c + si) * bb_bb],
+        ]
+    )
+
+
+def reduced_power_probs(n, phi, eta, steps):
+    """Success probability after 0..steps steps, one 3x3 product per step."""
+    u = reduced_step(n, phi, eta)
+    state = np.array([1.0, 1.0, np.sqrt(n - 2.0)], dtype=complex) / np.sqrt(float(n))
+    probs = np.empty(steps + 1)
+    for t in range(steps + 1):
+        if t:
+            state = u @ state
+        probs[t] = abs(state[0]) ** 2
+    return probs
+
+
+def reduced_probs_50_digits(n, phi, eta, steps):
+    """Success probability after each of the ascending step counts, in 50 digits.
+
+    phi and eta are taken exactly as the floats given; M^t comes from
+    repeated squaring of the 3x3 step, so any t costs O(log t) products.
+    Needs mpmath.
+    """
+    import mpmath as mp
+
+    with mp.workdps(50):
+        e = mp.expj(mp.mpf(eta))
+        c, si = mp.cos(mp.mpf(phi)), 1j * mp.sin(mp.mpf(phi))
+        root = mp.sqrt(n - 2)
+        ba_ba = -(n - 2 - e) / (n - 1)
+        ba_bb = (1 + e) * root / (n - 1)
+        bb_bb = ((n - 2) * e - 1) / (n - 1)
+        u = mp.matrix(
+            [
+                [-si, c * ba_ba, c * ba_bb],
+                [-c, si * ba_ba, si * ba_bb],
+                [0, (c + si) * ba_bb, (c + si) * bb_bb],
+            ]
+        )
+        state = mp.matrix([1, 1, root]) / mp.sqrt(n)
+        probs, done = [], 0
+        for t in steps:
+            gap, power = t - done, u
+            while gap:
+                if gap & 1:
+                    state = power * state
+                power, gap = power * power, gap >> 1
+            done = t
+            probs.append(float(abs(state[0]) ** 2))
+    return np.array(probs)
 
 
 def dense_ctqw_probs(n, epsilon, gamma, times, marked=0):

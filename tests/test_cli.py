@@ -2,17 +2,14 @@
 
 import io
 import math
-import os
 import subprocess
 import sys
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barrierwalk import experiments, walk
 from barrierwalk.cli import main
 from barrierwalk.experiments import (
     CtqwSpec,
@@ -193,54 +190,6 @@ def test_sweep_workers_deterministic():
         run_sweep([], [0.0], corrected=False)
     with pytest.raises(ValueError):
         run_sweep([8], [0.0], corrected=False, workers=0)
-
-
-def test_sweep_workers_clamped_to_grid_and_cpus(monkeypatch):
-    # A recording stand-in for the pool: the clamp is checked without ever
-    # starting a process, whatever count run_sweep asks for.
-    seen = []
-
-    class RecordingPool:
-        def __init__(self, max_workers, initializer, initargs):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    run_sweep([8], [0.0], corrected=False, steps=3, workers=100_000)
-    assert seen == []  # one grid point runs in this process
-    run_sweep([8, 16], [0.0, 0.5], corrected=False, steps=3, workers=100_000)
-    assert seen == [3]  # four points, three CPUs
-    run_sweep([8], [0.0, 0.5], corrected=False, steps=3, workers=100_000)
-    assert seen == [3, 2]  # two points
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    run_sweep([8, 16], [0.0, 0.5], corrected=False, steps=3, workers=4)
-    assert seen == [3, 2]  # CPU count unknown: one process
-
-
-def test_sweep_workers_share_the_usable_cpus(monkeypatch):
-    # The affinity mask, not the host's CPU count, bounds the workers, and
-    # each worker's full-space steps get an equal share of those CPUs.
-    pool = mock.MagicMock()  # records its arguments; starts no process
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", pool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 4, 6, 7}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    for workers in (100_000, 2):
-        run_sweep([8, 16], [0.0, 0.5, 0.8], corrected=False, steps=3, workers=workers)
-    calls = [call.kwargs for call in pool.call_args_list]
-    assert [(c["max_workers"], c["initargs"]) for c in calls] == [(5, (1,)), (2, (2,))]
-    monkeypatch.setattr(walk, "_THREADS", 1)
-    calls[1]["initializer"](*calls[1]["initargs"])
-    assert walk._THREADS == 2
 
 
 def test_run_verification_names_and_negative_control():

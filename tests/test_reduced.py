@@ -1,10 +1,11 @@
 """3x3 reduced model versus the compressed dense operators and the closed-form states."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from barrierwalk.phases import corrected_eta, overlap_angle
@@ -22,7 +23,15 @@ from barrierwalk.reduced import (
 )
 from barrierwalk.walk import WalkParams, evolve, initial_state, success_probability
 
-from oracles import dense_step, pair_index, project_to_reduced, random_state
+from oracles import (
+    dense_step,
+    pair_index,
+    project_to_reduced,
+    random_state,
+    reduced_power_probs,
+    reduced_probs_50_digits,
+    reduced_step,
+)
 
 
 @pytest.mark.parametrize("n", [5, 9])
@@ -34,6 +43,8 @@ def test_matrices_match_compressed_dense(n, phi):
     ops = build_reduced_operators(n, phi, eta)
     compressed = project_to_reduced(dense_step(n, phi, eta), n)
     np.testing.assert_allclose(ops.step, compressed, rtol=0, atol=1e-13)
+    # and so does the oracle the closed form is checked against
+    np.testing.assert_allclose(reduced_step(n, phi, eta), compressed, rtol=0, atol=1e-13)
 
 
 def test_matrices_validation_and_unitarity():
@@ -229,3 +240,68 @@ def test_evolve_reduced_matches_full(phi, corrected):
 def test_evolve_reduced_validation():
     with pytest.raises(ValueError):
         evolve_reduced(5, 0.0, 0.0, -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(3, 10**6),
+    phi=st.floats(0.0, math.pi / 2),
+    eta=st.floats(allow_nan=False, allow_infinity=False),
+)
+@example(n=3, phi=math.pi / 2, eta=-math.pi)  # in-plane eigenvalues meet: s ~ 0
+@example(n=3, phi=math.pi / 2, eta=math.pi)  # s ~ pi
+@example(n=10**6, phi=math.pi / 2, eta=-math.pi)
+@example(n=64, phi=0.0, eta=math.pi)
+@example(n=64, phi=0.3, eta=2.0 * math.pi + 1.0)
+@example(n=64, phi=0.3, eta=-1e300)
+def test_closed_form_matches_matrix_powers(n, phi, eta):
+    closed = evolve_reduced(n, phi, eta, 400)
+    assert np.abs(closed - reduced_power_probs(n, phi, eta, 400)).max() <= 1e-12
+
+
+def test_closed_form_rotation_limit_at_s_zero():
+    # Here sin^2(s/2) underflows to 0, so s = 0 exactly and sin(ts)/sin(s)
+    # is its limit t; the curve is still the matrix powers' to 1e-12 relative.
+    n, phi, eta = 10**300, math.pi / 2, -math.pi
+    closed = evolve_reduced(n, phi, eta, 50)
+    np.testing.assert_allclose(closed, reduced_power_probs(n, phi, eta, 50), rtol=1e-12)
+
+
+# Step counts of the drift gate: a sparse grid up to 2.5 M, both sides of
+# two boundaries between evolve_reduced's 16,384-step chunks, then every
+# step of the last 300, which span whole rotation periods at N = 10^3.
+_DRIFT_STEPS = [1, 2, 10, 100, 1_000, 10_000, 16_383, 16_384, 100_000, 1_000_000]
+_DRIFT_STEPS += [2_490_367, 2_490_368, *range(2_499_700, 2_500_001)]
+
+
+@pytest.mark.parametrize(
+    "n, tolerance", [(10**3, 1e-11), (10**6, 1e-12), (10**9, 1e-12), (10**12, 1e-12)]
+)
+def test_evolve_reduced_drift_against_50_digits(n, tolerance):
+    # The bounded drift of long trajectories at large N: no error builds up
+    # step by step, only the rounding of s, phi and eta/2 times t.
+    pytest.importorskip("mpmath")
+    for phi, corrected in [
+        (0.0, False),
+        (0.3, True),
+        (math.asin(0.8), False),
+        (math.asin(0.8), True),
+        (1.5, False),
+        (1.5, True),
+    ]:
+        eta = corrected_eta(phi, n) if corrected else 0.0
+        closed = evolve_reduced(n, phi, eta, _DRIFT_STEPS[-1])[_DRIFT_STEPS]
+        exact = reduced_probs_50_digits(n, phi, eta, _DRIFT_STEPS)
+        assert np.abs(closed - exact).max() < tolerance, (phi, corrected)
+
+
+def test_evolve_reduced_memory_is_its_output():
+    # Steps are evaluated chunk by chunk, so no temporary grows with steps.
+    n, phi = 10**12, math.asin(0.8)
+    tracemalloc.start()
+    try:
+        probs = evolve_reduced(n, phi, corrected_eta(phi, n), 2_500_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * probs.nbytes
