@@ -42,10 +42,9 @@ from .reduced import (
 )
 from .walk import (
     WalkParams,
-    _kernel_pool,
-    _stepper,
     evolve,
     initial_state,
+    step,
     success_probability,
 )
 
@@ -450,21 +449,18 @@ def _trajectory_deviations(
 ) -> None:
     # One full-space trajectory, checked step by step against everything the
     # 3D reduction promises: class-wise equal amplitudes, no leakage out of
-    # the subspace, matching success probabilities, unit norm.  It runs on
-    # one stepper, as evolve does, so the kernel is set up once.
+    # the subspace, matching success probabilities, unit norm.
     params = WalkParams(n_vertices=n, phi=phi, eta=eta)
     classes = symmetry_classes(n, params.marked)
     reduced_probs = evolve_reduced(n, phi, eta, steps)
     state = initial_state(params)
-    with _kernel_pool(n) as pool:
-        advance = _stepper(state, params, pool)
-        for t in range(steps + 1):
-            if t > 0:
-                advance()
-            for idx in classes:
-                spread = np.abs(state[idx] - state[idx].mean()).max()
-                _note(worst, "symmetry-classes", float(spread))
-            _note(worst, "projection-residual", project(state, n, params.marked)[1])
-            _note(worst, "full-vs-reduced",
-                  abs(success_probability(state, params.marked) - reduced_probs[t]))
-            _note(worst, "norm-conservation", abs(float(np.linalg.norm(state)) - 1.0))
+    for t in range(steps + 1):
+        if t > 0:
+            state = step(state, params)
+        for idx in classes:
+            block = state[idx]
+            _note(worst, "symmetry-classes", float(np.abs(block - block.mean()).max()))
+        _note(worst, "projection-residual", project(state, n, params.marked)[1])
+        _note(worst, "full-vs-reduced",
+              abs(success_probability(state, params.marked) - reduced_probs[t]))
+        _note(worst, "norm-conservation", abs(float(np.linalg.norm(state)) - 1.0))

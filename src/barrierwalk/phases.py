@@ -191,16 +191,30 @@ def build_phase_plan(n_vertices: int, phi: float) -> PhasePlan:
     """Assemble the full phase-matching plan for a corrected search."""
     _check_n(n_vertices)
     _check_phi(phi, allow_blocked=True)
-    blocked = phi == _HALF_PI
+    theta = overlap_angle(n_vertices)
+    delta = _HALF_PI - phi
+    if phi == _HALF_PI:
+        return PhasePlan(
+            n_vertices=n_vertices,
+            phi=phi,
+            theta=theta,
+            delta=delta,
+            blocked=True,
+            eta=None,
+            sigma=0.0,
+            t_star=None,
+            t_star_exact=None,
+            t_star_large_n=None,
+        )
     return PhasePlan(
         n_vertices=n_vertices,
         phi=phi,
-        theta=overlap_angle(n_vertices),
-        delta=_HALF_PI - phi,
-        blocked=blocked,
-        eta=None if blocked else corrected_eta(phi, n_vertices),
+        theta=theta,
+        delta=delta,
+        blocked=False,
+        eta=corrected_eta(phi, n_vertices),
         sigma=rotation_angle_sigma(phi, n_vertices),
-        t_star=None if blocked else runtime_t_star(phi, n_vertices),
-        t_star_exact=None if blocked else runtime_t_star_exact(phi, n_vertices),
-        t_star_large_n=None if blocked else runtime_large_n(phi, n_vertices),
+        t_star=runtime_t_star(phi, n_vertices),
+        t_star_exact=runtime_t_star_exact(phi, n_vertices),
+        t_star_large_n=runtime_large_n(phi, n_vertices),
     )

@@ -275,11 +275,14 @@ _DRIFT_STEPS += [2_490_367, 2_490_368, *range(2_499_700, 2_500_001)]
 
 
 @pytest.mark.parametrize(
-    "n, tolerance", [(10**3, 1e-11), (10**6, 1e-12), (10**9, 1e-12), (10**12, 1e-12)]
+    "n, tolerance", [(10**3, 6e-12), (10**6, 2e-13), (10**9, 1e-14), (10**12, 1e-15)]
 )
 def test_evolve_reduced_drift_against_50_digits(n, tolerance):
     # The bounded drift of long trajectories at large N: no error builds up
-    # step by step, only the rounding of s, phi and eta/2 times t.
+    # step by step, only the rounding of s, phi and eta/2.  The bounds are
+    # the ones documented in reduced.py; phases taken as exp(1j * (t * x)),
+    # without _cis's exact head, miss them (9.9e-12 at N = 10^3, 1.1e-14 at
+    # N = 10^9).
     pytest.importorskip("mpmath")
     for phi, corrected in [
         (0.0, False),
