@@ -192,6 +192,15 @@ def test_sweep_workers_deterministic():
         run_sweep([8], [0.0], corrected=False, workers=0)
 
 
+def test_sweep_points_on_threads_match_serial():
+    # N = 512 splits each step over threads too; more workers than points.
+    grid = ([512, 10**6], [0.0, 0.8])
+    serial = run_sweep(*grid, corrected=True, steps=3, max_full_n=512)
+    threaded = run_sweep(*grid, corrected=True, steps=3, max_full_n=512, workers=8)
+    assert threaded == serial
+    assert [row.mode for row in serial] == ["dtqw-full"] * 2 + ["dtqw-reduced"] * 2
+
+
 def test_run_verification_names_and_negative_control():
     checks = run_verification([4], [0.0, 0.3], steps=40)
     assert [c.name for c in checks] == [
