@@ -336,10 +336,10 @@ def run_sweep(
 
     workers > 1 runs that many grid points at once on threads, at most one
     per point; rows come in grid order either way.  Each full-space point
-    still spreads its steps over every usable CPU.  Points at once mainly
-    steady the time: one N = 1024 state (16 MB) alone ran up to 2x faster
-    or slower with what other tenants did to a shared 32 MB cache, and
-    two or three at once fill it themselves.
+    still spreads its steps over every usable CPU.  Points at once trade
+    speed for a steadier time where one state fits the last-level cache:
+    alone, an N = 1024 state (16 MB) ran up to 2x faster or slower with what
+    other tenants did to a shared 32 MB cache; two at once fill it themselves.
     """
     if not n_values or not beta_values:
         raise ValueError("sweep needs at least one N and one beta")

@@ -183,22 +183,16 @@ def test_sweep_blocked_point_has_no_prediction():
 
 
 def test_sweep_workers_deterministic():
-    serial = run_sweep([8, 16], [0.0, 0.5], corrected=True, steps=25, workers=1)
-    parallel = run_sweep([8, 16], [0.0, 0.5], corrected=True, steps=25, workers=2)
+    # N = 512 also splits each step over threads; more workers than points.
+    grid = ([16, 512, 10**6], [0.0, 0.5])
+    serial = run_sweep(*grid, corrected=True, steps=25, max_full_n=512, workers=1)
+    parallel = run_sweep(*grid, corrected=True, steps=25, max_full_n=512, workers=8)
     assert serial == parallel
+    assert [row.mode for row in serial][-2:] == ["dtqw-reduced"] * 2
     with pytest.raises(ValueError):
         run_sweep([], [0.0], corrected=False)
     with pytest.raises(ValueError):
         run_sweep([8], [0.0], corrected=False, workers=0)
-
-
-def test_sweep_points_on_threads_match_serial():
-    # N = 512 splits each step over threads too; more workers than points.
-    grid = ([512, 10**6], [0.0, 0.8])
-    serial = run_sweep(*grid, corrected=True, steps=3, max_full_n=512)
-    threaded = run_sweep(*grid, corrected=True, steps=3, max_full_n=512, workers=8)
-    assert threaded == serial
-    assert [row.mode for row in serial] == ["dtqw-full"] * 2 + ["dtqw-reduced"] * 2
 
 
 def test_run_verification_names_and_negative_control():
