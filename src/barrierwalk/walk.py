@@ -281,7 +281,13 @@ def _coin_shift_tile_row(
         lt = a[j0:j1, i0:i1].T
         cu, cl, q = scratch[:, : u.size].reshape(3, *u.shape)
         np.subtract(cm_i, u, out=cu)
-        np.subtract(cm[j0:j1], lt, out=cl)
+        # Copy tile (J, I) in row order before reading it transposed: read
+        # transposed from the state, every first touch missed the cache on
+        # its own, and the N = 1024 step's time swung with what other
+        # tenants did to a shared last-level cache.
+        near = q.reshape(lt.T.shape)
+        np.copyto(near, lt.T)
+        np.subtract(cm[j0:j1], near.T, out=cl)
         np.multiply(cu, isin, out=q)
         np.multiply(cl, cos, out=u)
         u += q
