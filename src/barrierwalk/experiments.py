@@ -43,6 +43,7 @@ from .reduced import (
 )
 from .walk import (
     WalkParams,
+    _THREADS,
     evolve,
     initial_state,
     step,
@@ -335,7 +336,8 @@ def run_sweep(
     """Run the (N, beta) grid, N-major, one row per point, in this process.
 
     workers > 1 runs that many grid points at once on threads, at most one
-    per point; rows come in grid order either way.  Each full-space point
+    per point and per usable CPU, since each holds its own state; rows come
+    in grid order either way.  Each full-space point
     still spreads its steps over every usable CPU.  Points at once trade
     speed for a steadier time where one state fits the last-level cache:
     alone, an N = 1024 state (16 MB) ran up to 2x faster or slower with what
@@ -350,9 +352,10 @@ def run_sweep(
         for n in n_values
         for beta in beta_values
     ]
+    workers = min(workers, len(grid), _THREADS)
     if workers == 1:
         return [_sweep_point(spec) for spec in grid]
-    with ThreadPoolExecutor(min(workers, len(grid))) as pool:
+    with ThreadPoolExecutor(workers) as pool:
         return list(pool.map(_sweep_point, grid))
 
 

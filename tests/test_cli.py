@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from barrierwalk import experiments
 from barrierwalk.cli import main
 from barrierwalk.experiments import (
     CtqwSpec,
@@ -193,6 +194,37 @@ def test_sweep_workers_deterministic():
         run_sweep([], [0.0], corrected=False)
     with pytest.raises(ValueError):
         run_sweep([8], [0.0], corrected=False, workers=0)
+
+
+def test_sweep_workers_clamped_to_grid_and_cpus(monkeypatch):
+    # A recording stand-in for the pool: the clamp is checked without ever
+    # starting a thread, whatever count run_sweep asks for.
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments, "_THREADS", 3)
+    run_sweep([8], [0.0], corrected=False, steps=3, workers=100_000)
+    assert seen == []  # one grid point runs in the calling thread
+    run_sweep([8, 16], [0.0, 0.5], corrected=False, steps=3, workers=100_000)
+    assert seen == [3]  # four points, three CPUs
+    run_sweep([8], [0.0, 0.5], corrected=False, steps=3, workers=100_000)
+    assert seen == [3, 2]  # two points
+    monkeypatch.setattr(experiments, "_THREADS", 1)
+    run_sweep([8, 16], [0.0, 0.5], corrected=False, steps=3, workers=4)
+    assert seen == [3, 2]  # one usable CPU: no pool
 
 
 def test_run_verification_names_and_negative_control():
