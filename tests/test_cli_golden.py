@@ -65,6 +65,11 @@ CASES: dict[str, tuple[list[str], str | None]] = {
     "verify-pass": (["verify", "--n", "3,4", "--phi", "0,0.3", "--steps", "40"], None),
     "verify-force-eta-zero": (
         ["verify", "--n", "4", "--phi", "0,0.3", "--steps", "20", "--force-eta-zero"], None),
+    # N = 100 sums the bb class pairwise, so a change to its summation order
+    # shows; its states stay under the 10,000 elements above which OpenBLAS
+    # splits np.linalg.norm's dot products across threads, so the bytes do
+    # not depend on the CPU count.
+    "verify-n100": (["verify", "--n", "100", "--phi", "0", "--steps", "100"], None),
     "config-simulate": (
         ["simulate", "--config", "{cfg}", "--steps", "8"],
         "# comment\nn = 16\nbeta = 0.4\ncorrected = true\nsteps = 30\nmax-full-n = 64\n"),
