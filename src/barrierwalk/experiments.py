@@ -461,14 +461,12 @@ def _trajectory_deviations(
     # 3D reduction promises: class-wise equal amplitudes, no leakage out of
     # the subspace, matching success probabilities, unit norm.
     params = WalkParams(n_vertices=n, phi=phi, eta=eta)
-    classes = symmetry_classes(n, params.marked)
     reduced_probs = evolve_reduced(n, phi, eta, steps)
     state = initial_state(params)
     for t in range(steps + 1):
         if t > 0:
             state = step(state, params)
-        for idx in classes:
-            block = state[idx]
+        for block in symmetry_classes(state, params.marked):
             _note(worst, "symmetry-classes", float(np.abs(block - block.mean()).max()))
         _note(worst, "projection-residual", project(state, n, params.marked)[1])
         _note(worst, "full-vs-reduced",

@@ -10,7 +10,9 @@ of three symmetry-adapted states, indexed in this order throughout:
 This module builds the walk operators restricted to that subspace (3x3
 matrices in the (ab, ba, bb) basis), the distinguished states used in the
 rotation analysis, and the isometry between the subspace and the full
-N*(N-1)-dimensional space.
+N*(N-1)-dimensional space.  The classes are read straight off the N x (N-1)
+amplitude matrix (the ab row and the ba slots are slices of it), so embed and
+project build no N(N-1) index array and cache nothing.
 
 The key structural fact: psi_minus_one below is a (-1)-eigenvector of the
 combined coin/oracle matrix for every phase eta, so the interesting dynamics
@@ -26,12 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .phases import _check_eta, _check_marked, _check_n, _check_phi, _check_steps
-from .walk import _slot_endpoints
+from .walk import _as_state
 
 __all__ = [
     "ReducedOperators",
@@ -151,20 +152,29 @@ def reduced_initial_state(n_vertices: int) -> np.ndarray:
     return vec / math.sqrt(n_vertices)
 
 
-@lru_cache(maxsize=8)
+def _ba_views(a: np.ndarray, marked: int) -> tuple[np.ndarray, np.ndarray]:
+    # The slots of the N x (N-1) matrix a that point at the marked vertex.
+    # Slot c of row v points at c + (c >= v), so rows above marked use slot
+    # marked - 1 and rows below it slot marked; at marked = 0 or N-1 one
+    # view is empty.
+    return a[:marked, marked - 1 : marked], a[marked + 1 :, marked : marked + 1]
+
+
 def symmetry_classes(
-    n_vertices: int, marked: int = 0
+    full: np.ndarray, marked: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays of the ab, ba, bb classes in the flat full-space layout."""
-    _check_n(n_vertices)
-    _check_marked(marked, n_vertices)
-    v, w = _slot_endpoints(n_vertices)
-    ab = np.flatnonzero(v == marked)
-    ba = np.flatnonzero((v != marked) & (w == marked))
-    bb = np.flatnonzero((v != marked) & (w != marked))
-    for idx in (ab, ba, bb):
-        idx.flags.writeable = False
-    return ab, ba, bb
+    """The ab, ba and bb amplitudes of a full state, each class in flat order.
+
+    ab is a view of the marked vertex's row; ba and bb are copied per call.
+    """
+    arr, n = _as_state(full)
+    _check_marked(marked, n)
+    a = arr.reshape(n, n - 1)
+    others = np.ones(a.shape, dtype=bool)
+    others[marked] = False
+    for view in _ba_views(others, marked):
+        view[...] = False
+    return a[marked], np.concatenate(_ba_views(a, marked), axis=None), a[others]
 
 
 def embed(
@@ -174,12 +184,15 @@ def embed(
     amps = np.asarray(reduced, dtype=np.complex128)
     if amps.shape != (3,):
         raise ValueError(f"reduced state must have shape (3,), got {amps.shape}")
-    ab, ba, bb = symmetry_classes(n_vertices, marked)
-    full = np.zeros(n_vertices * (n_vertices - 1), dtype=np.complex128)
-    full[ab] = amps[0] / math.sqrt(len(ab))
-    full[ba] = amps[1] / math.sqrt(len(ba))
-    full[bb] = amps[2] / math.sqrt(len(bb))
-    return full
+    _check_n(n_vertices)
+    _check_marked(marked, n_vertices)
+    n = n_vertices
+    # bb everywhere, then the ab row and the ba slots written over it
+    a = np.full((n, n - 1), amps[2] / math.sqrt((n - 1) * (n - 2)))
+    a[marked] = amps[0] / math.sqrt(n - 1)
+    for view in _ba_views(a, marked):
+        view[...] = amps[1] / math.sqrt(n - 1)
+    return a.reshape(-1)
 
 
 def project(
@@ -197,16 +210,12 @@ def project(
     dim = n_vertices * (n_vertices - 1)
     if arr.shape != (dim,):
         raise ValueError(f"full state must have shape ({dim},), got {arr.shape}")
-    ab, ba, bb = symmetry_classes(n_vertices, marked)
     reduced = np.array(
-        [
-            arr[ab].sum() / math.sqrt(len(ab)),
-            arr[ba].sum() / math.sqrt(len(ba)),
-            arr[bb].sum() / math.sqrt(len(bb)),
-        ],
+        [block.sum() / math.sqrt(block.size) for block in symmetry_classes(arr, marked)],
         dtype=np.complex128,
     )
-    residual = float(np.linalg.norm(arr - embed(reduced, n_vertices, marked)))
+    gap = embed(reduced, n_vertices, marked)
+    residual = float(np.linalg.norm(np.subtract(arr, gap, out=gap)))
     return reduced, residual
 
 

@@ -100,14 +100,6 @@ def vertex_count(dim: int) -> int:
     return n
 
 
-def _slot_endpoints(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # For every flat index: the vertex v owning the slot and the neighbor w
-    # its coin slot c points at.
-    v = np.repeat(np.arange(n), n - 1)
-    c = np.tile(np.arange(n - 1), n)
-    return v, c + (c >= v)
-
-
 # Side of the square tiles _stepper sweeps.  128 ran fastest among
 # 48..192 at N = 512..4096 on a 2-vCPU AMD EPYC with 1 MB of L2 per core,
 # which three 256 KB scratch tiles and most of the tile pair fit.
@@ -134,8 +126,11 @@ def _kernel_pool(n: int) -> ThreadPoolExecutor | nullcontext[None]:
 
 
 def _flip_flop_permutation(n: int) -> np.ndarray:
-    # perm[index(v, ->w)] = index(w, ->v); an involution on 0..N(N-1)-1
-    v, w = _slot_endpoints(n)
+    # perm[index(v, ->w)] = index(w, ->v); an involution on 0..N(N-1)-1.
+    # Flat index v*(N-1) + c is vertex v's coin slot c, pointing at w.
+    v = np.repeat(np.arange(n), n - 1)
+    c = np.tile(np.arange(n - 1), n)
+    w = c + (c >= v)
     return w * (n - 1) + (v - (v > w))
 
 

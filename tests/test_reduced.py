@@ -157,16 +157,43 @@ def test_reflection_structure_rotation_by_two_theta(n):
     )
 
 
-def test_symmetry_classes_shapes():
-    n = 9
-    ab, ba, bb = symmetry_classes(n, marked=2)
-    assert len(ab) == n - 1 and len(ba) == n - 1 and len(bb) == (n - 1) * (n - 2)
-    flat = np.sort(np.concatenate([ab, ba, bb]))
-    assert np.array_equal(flat, np.arange(n * (n - 1)))
-    # spot-check membership through the index convention
-    assert pair_index(n, 2, 5) in ab
-    assert pair_index(n, 5, 2) in ba
-    assert pair_index(n, 4, 7) in bb
+@settings(max_examples=100, deadline=None)
+@given(
+    graph=st.integers(3, 64).flatmap(
+        lambda n: st.tuples(st.just(n), st.sampled_from([0, n - 1]) | st.integers(0, n - 1))
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_symmetry_classes_shapes(graph, seed):
+    # graph is (N, marked vertex); the edges 0 and N-1 are drawn often
+    n, marked = graph
+    state = random_state(n * (n - 1), seed)
+    others = [v for v in range(n) if v != marked]
+    # each class gathered through the index convention, in flat order
+    expected = [
+        [pair_index(n, marked, w) for w in others],
+        [pair_index(n, v, marked) for v in others],
+        [pair_index(n, v, w) for v in others for w in others if v != w],
+    ]
+    classes = symmetry_classes(state, marked)
+    assert [block.size for block in classes] == [n - 1, n - 1, (n - 1) * (n - 2)]
+    for block, idx in zip(classes, expected):
+        assert np.array_equal(block, state[idx])
+
+
+def test_embed_and_project_keep_nothing_state_sized():
+    n = 700
+    state_bytes = 16 * n * (n - 1)
+    reduced = reduced_initial_state(n)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for marked in (0, 1, 2):
+            project(embed(reduced, n, marked), n, marked)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < state_bytes / 4
 
 
 def test_embed_initial_state_and_target():
