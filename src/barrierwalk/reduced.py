@@ -187,7 +187,6 @@ def embed(
     _check_n(n_vertices)
     _check_marked(marked, n_vertices)
     n = n_vertices
-    # bb everywhere, then the ab row and the ba slots written over it
     a = np.full((n, n - 1), amps[2] / math.sqrt((n - 1) * (n - 2)))
     a[marked] = amps[0] / math.sqrt(n - 1)
     for view in _ba_views(a, marked):
