@@ -75,17 +75,32 @@ def test_correction_reproduces_barrier_free_curve(epsilon):
     assert np.abs(base - corrected).max() < 1e-10
 
 
+@pytest.mark.parametrize(
+    "n,epsilon,gamma",
+    [
+        (5, 0.0, None),
+        (5, 0.5, None),
+        (33, 0.5, None),
+        (33, 0.3, 1.0 / 33.0),  # deliberately uncorrected rate
+    ],
+)
+def test_matches_dense_hamiltonian(n, epsilon, gamma):
+    params = CtqwParams(n, epsilon=epsilon, gamma=gamma)
+    times = np.linspace(0.0, 20.0, 101)
+    expected = dense_ctqw_probs(n, epsilon, params.rate, times)
+    np.testing.assert_allclose(
+        ctqw_success_curve(params, times), expected, rtol=0, atol=1e-12
+    )
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     graph=st.integers(2, 64).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
     epsilon=st.floats(0.0, 0.99),
     gamma=st.none() | st.floats(1e-3, 1.0),
 )
-@example(graph=(5, 0), epsilon=0.0, gamma=None)
-@example(graph=(5, 0), epsilon=0.5, gamma=None)
-@example(graph=(33, 0), epsilon=0.5, gamma=None)
-@example(graph=(33, 0), epsilon=0.3, gamma=1.0 / 33.0)  # deliberately uncorrected rate
-def test_matches_dense_hamiltonian(graph, epsilon, gamma):
+@example(graph=(33, 32), epsilon=0.3, gamma=1.0 / 33.0)  # last vertex, uncorrected rate
+def test_matches_dense_hamiltonian_at_random_points(graph, epsilon, gamma):
     # graph is (N, marked vertex)
     n, marked = graph
     params = CtqwParams(n, epsilon=epsilon, gamma=gamma, marked=marked)
