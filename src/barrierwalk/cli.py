@@ -265,31 +265,24 @@ def _cmd_ctqw(o: argparse.Namespace) -> int:
 
 def _plan_lines(n: int, beta: float) -> list[str]:
     plan = build_phase_plan(n, phi_from_beta(beta))
-    lines = [
+
+    def show(value: float | None, none: str = "infinite", spec: str = _FLOAT_FMT):
+        # a blocked plan has no eta and infinite runtimes
+        return none if value is None else format(value, spec)
+
+    return [
         f"n = {plan.n_vertices}",
-        f"beta = {beta:{_FLOAT_FMT}}",
+        f"beta = {beta + 0.0:{_FLOAT_FMT}}",  # -0.0 prints as 0
         f"phi = {plan.phi:{_FLOAT_FMT}}",
         f"theta = {plan.theta:{_FLOAT_FMT}}",
         f"delta = {plan.delta:{_FLOAT_FMT}}",
         f"blocked = {'true' if plan.blocked else 'false'}",
+        f"eta = {show(plan.eta, 'none')}",
+        f"sigma = {plan.sigma:{_FLOAT_FMT}}",
+        f"t_star = {show(plan.t_star, spec='d')}",
+        f"t_star_exact = {show(plan.t_star_exact)}",
+        f"t_star_large_n = {show(plan.t_star_large_n)}",
     ]
-    if plan.blocked:
-        lines += [
-            "eta = none",
-            f"sigma = {plan.sigma:{_FLOAT_FMT}}",
-            "t_star = infinite",
-            "t_star_exact = infinite",
-            "t_star_large_n = infinite",
-        ]
-    else:
-        lines += [
-            f"eta = {plan.eta:{_FLOAT_FMT}}",
-            f"sigma = {plan.sigma:{_FLOAT_FMT}}",
-            f"t_star = {plan.t_star}",
-            f"t_star_exact = {plan.t_star_exact:{_FLOAT_FMT}}",
-            f"t_star_large_n = {plan.t_star_large_n:{_FLOAT_FMT}}",
-        ]
-    return lines
 
 
 _PLAN = (_N, _BETA)

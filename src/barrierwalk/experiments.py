@@ -24,13 +24,11 @@ import numpy as np
 
 from .ctqw import CtqwParams, corrected_gamma, ctqw_runtime, ctqw_success_curve
 from .phases import (
-    _HALF_PI,
     BlockedRegimeError,
     _check_steps,
+    build_phase_plan,
     corrected_eta,
     hoyer_residual,
-    overlap_angle,
-    rotation_angle_sigma,
     runtime_t_star,
     runtime_t_star_exact,
 )
@@ -82,10 +80,10 @@ _FLOAT_FMT = ".12g"
 
 
 def phi_from_beta(beta: float) -> float:
-    """Barrier phase for a staying amplitude of magnitude beta."""
+    """Barrier phase for a staying amplitude of magnitude beta (-0 reads as 0)."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    return math.asin(beta)
+    return math.asin(beta) + 0.0
 
 
 def engine_for(n_vertices: int, max_full_n: int) -> str:
@@ -311,14 +309,13 @@ class SweepRow:
 
 def _sweep_point(spec: WalkSpec) -> SweepRow:
     result = run_experiment(spec)
-    n, phi = spec.n_vertices, spec.phi
-    blocked = phi == _HALF_PI
+    plan = build_phase_plan(spec.n_vertices, spec.phi)
     return SweepRow(
-        n_vertices=n,
-        beta=spec.beta,
+        n_vertices=spec.n_vertices,
+        beta=spec.beta + 0.0,  # -0.0 prints as 0
         eta=spec.eta,
-        sigma=rotation_angle_sigma(phi, n),
-        t_star_predicted=None if blocked else runtime_t_star(phi, n),
+        sigma=plan.sigma,
+        t_star_predicted=plan.t_star,
         t_star_measured=result.peak_index,
         peak_probability=result.peak_probability,
         mode=spec.mode,
@@ -404,12 +401,6 @@ class CheckResult:
         return self.deviation < self.tolerance
 
 
-def _eta_values(phi: float, n: int) -> list[float]:
-    if phi == _HALF_PI:
-        return [0.0]
-    return [0.0, corrected_eta(phi, n)]
-
-
 def _note(worst: dict[str, float], name: str, deviation: float) -> None:
     worst[name] = max(worst[name], deviation)
 
@@ -435,7 +426,8 @@ def run_verification(
     eye = np.eye(3)
     for n in n_values:
         for phi in phi_values:
-            for eta in _eta_values(phi, n):
+            plan = build_phase_plan(n, phi)
+            for eta in [0.0] if plan.blocked else [0.0, plan.eta]:
                 ops = build_reduced_operators(n, phi, eta)
                 for matrix in (ops.shift, ops.coin_oracle, ops.step):
                     _note(worst, "reduced-unitarity",
@@ -444,10 +436,10 @@ def run_verification(
                 _note(worst, "psi-minus-one-eigenvector",
                       float(np.abs(ops.coin_oracle @ psi + psi).max()))
                 _trajectory_deviations(n, phi, eta, steps, worst)
-            if phi != _HALF_PI:
-                eta_used = 0.0 if force_eta_zero else corrected_eta(phi, n)
+            if not plan.blocked:
+                eta_used = 0.0 if force_eta_zero else plan.eta
                 _note(worst, "hoyer-residual",
-                      abs(hoyer_residual(phi, eta_used, overlap_angle(n))))
+                      abs(hoyer_residual(phi, eta_used, plan.theta)))
     return [
         CheckResult(name, worst[name], tolerance)
         for name, tolerance in _CHECK_TOLERANCES.items()

@@ -117,16 +117,21 @@ def rotation_angle_sigma(phi: float, n_vertices: int) -> float:
 
     sin(sigma) equals the overlap between the marked target and the image of
     the uniform state under one corrected step, which evaluates to
-    sqrt((1 + cos(eta))/N) with eta the exact correction phase.  For large N
-    eta approaches -2*phi and sigma approaches asin(sqrt((1 + cos(2*phi))/N)).
-    At phi = pi/2 the rotation degenerates; sigma = 0 there.
+    sqrt((1 + cos(eta))/N) with eta the exact correction phase.  Since
+    tan(eta/2) = -y/x with x = cos(phi)(N-2) and y = sin(phi)(N-1), it is
+    computed from 1 + cos(eta) = 2 cos(eta/2)^2 = 2x^2/(x^2 + y^2), which
+    keeps full relative accuracy as phi approaches pi/2, where 1 + cos(eta)
+    cancels; hypot keeps x^2 + y^2 from overflowing at huge N.  For large N
+    sigma approaches asin(sqrt(2/N) cos(phi)).  At phi = pi/2 the rotation
+    degenerates; sigma = 0 there.
     """
     _check_n(n_vertices)
     _check_phi(phi, allow_blocked=True)
     if phi == _HALF_PI:
         return 0.0
-    eta = corrected_eta(phi, n_vertices)
-    return math.asin(math.sqrt((1.0 + math.cos(eta)) / n_vertices))
+    x = math.cos(phi) * (n_vertices - 2)
+    y = math.sin(phi) * (n_vertices - 1)
+    return math.asin(math.sqrt(2.0 / n_vertices) * x / math.hypot(x, y))
 
 
 def runtime_t_star_exact(phi: float, n_vertices: int) -> float:
@@ -147,10 +152,14 @@ def runtime_t_star(phi: float, n_vertices: int) -> int:
 
 
 def runtime_large_n(phi: float, n_vertices: int) -> float:
-    """Leading-order runtime pi*sqrt(N) / (2*sqrt(1 + cos(2*phi)))."""
+    """Leading-order runtime pi*sqrt(N) / (2*sqrt(1 + cos(2*phi))).
+
+    Computed as pi*sqrt(N) / (2*sqrt(2)*cos(phi)), since 1 + cos(2*phi) =
+    2*cos(phi)^2 would cancel as phi approaches pi/2.
+    """
     _check_n(n_vertices)
     _check_phi(phi, allow_blocked=False)
-    return math.pi * math.sqrt(n_vertices) / (2.0 * math.sqrt(1.0 + math.cos(2.0 * phi)))
+    return math.pi * math.sqrt(n_vertices) / (2.0 * math.sqrt(2.0) * math.cos(phi))
 
 
 def blocking_regime_runtime(delta: float, n_vertices: int) -> float:
@@ -188,33 +197,23 @@ class PhasePlan:
 
 
 def build_phase_plan(n_vertices: int, phi: float) -> PhasePlan:
-    """Assemble the full phase-matching plan for a corrected search."""
+    """Assemble the full phase-matching plan for a corrected search.
+
+    This is where the blocked regime is decided: callers read plan.blocked
+    and the None fields rather than testing phi == pi/2 themselves.
+    """
     _check_n(n_vertices)
     _check_phi(phi, allow_blocked=True)
-    theta = overlap_angle(n_vertices)
-    delta = _HALF_PI - phi
-    if phi == _HALF_PI:
-        return PhasePlan(
-            n_vertices=n_vertices,
-            phi=phi,
-            theta=theta,
-            delta=delta,
-            blocked=True,
-            eta=None,
-            sigma=0.0,
-            t_star=None,
-            t_star_exact=None,
-            t_star_large_n=None,
-        )
+    blocked = phi == _HALF_PI
     return PhasePlan(
         n_vertices=n_vertices,
         phi=phi,
-        theta=theta,
-        delta=delta,
-        blocked=False,
-        eta=corrected_eta(phi, n_vertices),
+        theta=overlap_angle(n_vertices),
+        delta=_HALF_PI - phi,
+        blocked=blocked,
+        eta=None if blocked else corrected_eta(phi, n_vertices),
         sigma=rotation_angle_sigma(phi, n_vertices),
-        t_star=runtime_t_star(phi, n_vertices),
-        t_star_exact=runtime_t_star_exact(phi, n_vertices),
-        t_star_large_n=runtime_large_n(phi, n_vertices),
+        t_star=None if blocked else runtime_t_star(phi, n_vertices),
+        t_star_exact=None if blocked else runtime_t_star_exact(phi, n_vertices),
+        t_star_large_n=None if blocked else runtime_large_n(phi, n_vertices),
     )

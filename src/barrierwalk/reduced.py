@@ -56,9 +56,6 @@ class ReducedOperators:
     matching the full-space operator ordering.  All three are unitary.
     """
 
-    n_vertices: int
-    phi: float
-    eta: float
     shift: np.ndarray
     coin_oracle: np.ndarray
     step: np.ndarray
@@ -86,14 +83,7 @@ def build_reduced_operators(
         ],
         dtype=np.complex128,
     )
-    return ReducedOperators(
-        n_vertices=n_vertices,
-        phi=phi,
-        eta=eta,
-        shift=shift,
-        coin_oracle=coin_oracle,
-        step=shift @ coin_oracle,
-    )
+    return ReducedOperators(shift, coin_oracle, step=shift @ coin_oracle)
 
 
 def psi_minus_one(n_vertices: int) -> np.ndarray:

@@ -156,6 +156,24 @@ def reduced_probs_50_digits(n, phi, eta, steps):
     return np.array(probs)
 
 
+def runtimes_60_digits(phi, n):
+    """(t*_exact, t*_large_n) of the corrected walk, in 60 digits.
+
+    Evaluated straight from the defining forms pi/(2 asin(sqrt((1 + cos eta)/N)))
+    and pi sqrt(N)/(2 sqrt(1 + cos 2 phi)), with phi taken exactly as the
+    float given; the extra digits absorb their cancellation near pi/2.
+    Needs mpmath.
+    """
+    import mpmath as mp
+
+    with mp.workdps(60):
+        phi = mp.mpf(phi)
+        eta = -2 * mp.atan2(mp.sin(phi) * (n - 1), mp.cos(phi) * (n - 2))
+        sigma = mp.asin(mp.sqrt((1 + mp.cos(eta)) / n))
+        large_n = mp.pi * mp.sqrt(n) / (2 * mp.sqrt(1 + mp.cos(2 * phi)))
+        return float(mp.pi / (2 * sigma)), float(large_n)
+
+
 def dense_ctqw_probs(n, epsilon, gamma, times, marked=0):
     """Marked-vertex probability from the full N x N Hamiltonian."""
     adjacency = np.ones((n, n)) - np.eye(n)

@@ -411,6 +411,18 @@ def test_cli_plan(capsys):
     assert "eta = none" in blocked
 
 
+@pytest.mark.parametrize(
+    "argv", [["plan", "--n", "16"], ["sweep", "--n", "16", "--steps", "2"]]
+)
+def test_cli_negative_zero_beta_prints_as_zero(argv, capsys):
+    # -0 and 0 spell the same barrier, so they print the same bytes
+    assert main([*argv, "--beta", "-0"]) == 0
+    negative = capsys.readouterr()
+    assert main([*argv, "--beta", "0"]) == 0
+    assert negative == capsys.readouterr()
+    assert math.copysign(1.0, phi_from_beta(-0.0)) == 1.0
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "barrierwalk", "plan", "--n", "16"],

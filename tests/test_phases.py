@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from barrierwalk.experiments import phi_from_beta, run_sweep
 from barrierwalk.phases import (
     BlockedRegimeError,
     blocking_regime_runtime,
@@ -17,6 +20,7 @@ from barrierwalk.phases import (
     runtime_t_star,
     runtime_t_star_exact,
 )
+from oracles import runtimes_60_digits
 
 PHI_08 = math.asin(0.8)
 
@@ -193,3 +197,57 @@ def test_phase_plan_blocked():
     assert plan.t_star_exact is None
     assert plan.t_star_large_n is None
     assert plan.delta == 0.0
+
+
+@pytest.mark.parametrize("n", [3, 16, 1024, 10**12])
+def test_runtimes_near_blocking_match_60_digits(n):
+    # 1 + cos(eta) and 1 + cos(2 phi) cancel as phi -> pi/2; the stable forms
+    # 2 cos(eta/2)^2 and 2 cos(phi)^2 keep full relative accuracy there.
+    pytest.importorskip("mpmath")
+    for k in range(1, 16):
+        phi = math.pi / 2 - 10.0**-k
+        exact, large_n = runtimes_60_digits(phi, n)
+        assert runtime_t_star_exact(phi, n) == pytest.approx(exact, rel=1e-14), k
+        assert runtime_large_n(phi, n) == pytest.approx(large_n, rel=1e-14), k
+
+
+@pytest.mark.parametrize("n", [3, 16, 10**6, 10**12])
+def test_phase_plan_defined_on_every_float_below_blocking(n):
+    phi = math.pi / 2
+    for _ in range(2000):
+        phi = math.nextafter(phi, 0.0)
+        plan = build_phase_plan(n, phi)
+        assert not plan.blocked
+        assert plan.sigma > 0.0
+        assert plan.t_star >= 1
+        assert math.isfinite(plan.t_star_exact)
+        assert math.isfinite(plan.t_star_large_n)
+
+
+_PHIS = st.one_of(
+    st.sampled_from([0.0, math.pi / 2]), st.floats(0.0, math.pi / 2)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(3, 10**12), phi=_PHIS)
+@example(n=3, phi=math.pi / 2)
+@example(n=10**12, phi=math.nextafter(math.pi / 2, 0.0))
+def test_phase_plan_at_random_points(n, phi):
+    plan = build_phase_plan(n, phi)
+    assert plan.blocked == (phi == math.pi / 2)
+    optional = (plan.eta, plan.t_star, plan.t_star_exact, plan.t_star_large_n)
+    assert [value is None for value in optional] == [plan.blocked] * 4
+    assert plan.theta == overlap_angle(n)
+    assert plan.sigma == rotation_angle_sigma(phi, n)
+    if not plan.blocked:
+        assert plan.eta == corrected_eta(phi, n)
+        assert plan.t_star == runtime_t_star(phi, n)
+        assert plan.t_star_exact == runtime_t_star_exact(phi, n)
+        assert plan.t_star_large_n == runtime_large_n(phi, n)
+    # a sweep row carries the plan of its own (N, beta)
+    beta = math.sin(phi)
+    (row,) = run_sweep([n], [beta], corrected=False, steps=1, max_full_n=0)
+    row_plan = build_phase_plan(n, phi_from_beta(beta))
+    assert row.sigma == row_plan.sigma
+    assert row.t_star_predicted == row_plan.t_star
