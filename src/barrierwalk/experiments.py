@@ -10,7 +10,9 @@ The two walk families take different knobs, so each has its own spec.
 Discrete-time runs (WalkSpec) take the barrier as the magnitude beta of the
 staying amplitude (phi = arcsin(beta); the phase i is implicit), matching
 how the curves are usually labeled.  Continuous-time runs (CtqwSpec) take it
-as the hop attenuation epsilon instead.
+as the hop attenuation epsilon instead.  Each spec computes its own curve()
+and carries its own CSV and summary wording, so run_experiment, summary_line
+and write_curve_csv treat both alike.
 """
 
 from __future__ import annotations
@@ -18,18 +20,17 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
-from .ctqw import CtqwParams, corrected_gamma, ctqw_runtime, ctqw_success_curve
+from .ctqw import CtqwParams, ctqw_runtime, ctqw_success_curve
 from .phases import (
     BlockedRegimeError,
+    PhasePlan,
     _check_steps,
     build_phase_plan,
-    corrected_eta,
     hoyer_residual,
-    runtime_t_star,
     runtime_t_star_exact,
 )
 from .reduced import (
@@ -100,6 +101,13 @@ class WalkSpec:
     Unset steps picks a window wide enough to contain the first success peak.
     """
 
+    # Wording of the CSV header and summary line.  x_format is a %-format:
+    # "%d" prints every digit of a whole number, int or float alike.
+    x_name = "step"
+    x_format = "%d"
+    prediction = "predicted t* = "
+    no_prediction = "no runtime prediction for an uncorrected barrier"
+
     n_vertices: int
     beta: float = 0.0
     corrected: bool = False
@@ -125,11 +133,14 @@ class WalkSpec:
         return phi_from_beta(self.beta)
 
     @property
+    def plan(self) -> PhasePlan:
+        """The PhasePlan for (N, phi) that eta, the step window and t* come from."""
+        return build_phase_plan(self.n_vertices, self.phi)
+
+    @property
     def eta(self) -> float:
         """Coin/oracle phase the run will use."""
-        if self.corrected:
-            return corrected_eta(self.phi, self.n_vertices)
-        return 0.0
+        return self.plan.eta if self.corrected else 0.0
 
     def params(self) -> WalkParams:
         return WalkParams(self.n_vertices, self.phi, self.eta, self.marked)
@@ -140,17 +151,27 @@ class WalkSpec:
             return self.steps
         if self.corrected:
             # 1.35x the predicted peak: past the peak, short of the second hump.
-            return math.ceil(1.35 * runtime_t_star_exact(self.phi, self.n_vertices))
+            return math.ceil(1.35 * self.plan.t_star_exact)
         # Uncorrected peaks drift later as beta grows; 2.8x the error-free
         # runtime covers the first hump for the mild barriers of interest.
         return math.ceil(2.8 * runtime_t_star_exact(0.0, self.n_vertices))
 
     def predicted_peak(self) -> float | None:
-        if self.corrected:
-            return float(runtime_t_star(self.phi, self.n_vertices))
-        if self.beta == 0.0:
-            return float(runtime_t_star(0.0, self.n_vertices))
+        """Phase-matched t*; None for an uncorrected barrier."""
+        if self.corrected or self.beta == 0.0:
+            return float(self.plan.t_star)
         return None
+
+    def curve(self) -> tuple[np.ndarray, np.ndarray]:
+        """Step indices 0..steps and the success probability after each."""
+        steps = self.resolved_steps()
+        if self.mode == "dtqw-full":
+            probs = evolve(self.params(), steps)
+        else:
+            # The reduced model is marked-agnostic: vertex-transitivity makes
+            # every choice of marked vertex give the same curve.
+            probs = evolve_reduced(self.n_vertices, self.phi, self.eta, steps)
+        return np.arange(steps + 1), probs
 
 
 @dataclass(frozen=True)
@@ -161,6 +182,11 @@ class CtqwSpec:
     otherwise gamma is the rate, 1/N when unset.  Unset t_max picks a window
     that contains the first success peak.
     """
+
+    x_name = "time"
+    x_format = f"%{_FLOAT_FMT}"
+    prediction = "predicted peak time "
+    no_prediction = "no peak-time prediction for a miscalibrated rate"
 
     n_vertices: int
     epsilon: float = 0.0
@@ -182,30 +208,23 @@ class CtqwSpec:
         if self.t_max is not None and not math.isfinite(self.t_max):
             raise ValueError(f"t_max must be finite, got {self.t_max}")
 
-    def resolved_gamma(self) -> float:
-        """Jumping rate the run will use (1/N unless corrected/overridden)."""
-        if self.corrected:
-            return corrected_gamma(self.n_vertices, self.epsilon)
-        if self.gamma is not None:
-            return self.gamma
-        return 1.0 / self.n_vertices
-
     def params(self) -> CtqwParams:
-        return CtqwParams(
-            self.n_vertices, self.epsilon, self.resolved_gamma(), self.marked
-        )
-
-    def time_grid(self) -> np.ndarray:
-        t_max = self.t_max
-        if t_max is None:
-            t_max = 1.5 * ctqw_runtime(self.n_vertices)
-        return np.linspace(0.0, t_max, self.samples)
+        """Rate for CtqwParams: None (it corrects) if corrected, else gamma or 1/N."""
+        gamma = None if self.corrected else self.gamma or 1.0 / self.n_vertices
+        return CtqwParams(self.n_vertices, self.epsilon, gamma, self.marked)
 
     def predicted_peak(self) -> float | None:
-        effective = self.resolved_gamma() * (1.0 - self.epsilon) * self.n_vertices
+        """pi*sqrt(N)/2 when the rate cancels the attenuation; else None."""
+        effective = self.params().rate * (1.0 - self.epsilon) * self.n_vertices
         if abs(effective - 1.0) <= 1e-9:
             return ctqw_runtime(self.n_vertices)
         return None
+
+    def curve(self) -> tuple[np.ndarray, np.ndarray]:
+        """Evenly spaced times on [0, t_max] and the success probability at each."""
+        t_max = self.t_max or 1.5 * ctqw_runtime(self.n_vertices)
+        times = np.linspace(0.0, t_max, self.samples)
+        return times, ctqw_success_curve(self.params(), times)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,24 +245,10 @@ class ExperimentResult:
     peak_probability: float
     predicted_peak: float | None
 
-    def rows(self) -> Iterable[tuple[float, float]]:
-        return zip(self.x.tolist(), self.probabilities.tolist())
-
 
 def run_experiment(spec: WalkSpec | CtqwSpec) -> ExperimentResult:
     """Execute a spec and package the curve with its summary."""
-    if isinstance(spec, CtqwSpec):
-        x = spec.time_grid()
-        probs = ctqw_success_curve(spec.params(), x)
-    else:
-        steps = spec.resolved_steps()
-        if spec.mode == "dtqw-full":
-            probs = evolve(spec.params(), steps)
-        else:
-            # The reduced model is marked-agnostic: vertex-transitivity makes
-            # every choice of marked vertex give the same curve.
-            probs = evolve_reduced(spec.n_vertices, spec.phi, spec.eta, steps)
-        x = np.arange(steps + 1)
+    x, probs = spec.curve()
     peak_index = int(np.argmax(probs))
     return ExperimentResult(
         spec=spec,
@@ -258,33 +263,22 @@ def run_experiment(spec: WalkSpec | CtqwSpec) -> ExperimentResult:
 
 def summary_line(result: ExperimentResult) -> str:
     """One human-readable line: where the run peaked vs. where theory says."""
-    if isinstance(result.spec, CtqwSpec):
-        head = (
-            f"peak probability {result.peak_probability:.6f}"
-            f" at time {result.peak_x:{_FLOAT_FMT}}"
-        )
-        if result.predicted_peak is None:
-            return head + "; no peak-time prediction for a miscalibrated rate"
-        return head + f"; predicted peak time {result.predicted_peak:{_FLOAT_FMT}}"
+    spec = result.spec
     head = (
         f"peak probability {result.peak_probability:.6f}"
-        f" at step {int(result.peak_x)}"
+        f" at {spec.x_name} {spec.x_format % result.peak_x}"
     )
     if result.predicted_peak is None:
-        return head + "; no runtime prediction for an uncorrected barrier"
-    return head + f"; predicted t* = {int(result.predicted_peak)}"
+        return f"{head}; {spec.no_prediction}"
+    return f"{head}; {spec.prediction}{spec.x_format % result.predicted_peak}"
 
 
 def write_curve_csv(result: ExperimentResult, out: TextIO) -> None:
     """Emit the curve; identical specs must produce identical bytes."""
-    if isinstance(result.spec, CtqwSpec):
-        out.write("time,probability\n")
-        for t, p in result.rows():
-            out.write(f"{t:{_FLOAT_FMT}},{p:{_FLOAT_FMT}}\n")
-    else:
-        out.write("step,probability\n")
-        for t, p in result.rows():
-            out.write(f"{int(t)},{p:{_FLOAT_FMT}}\n")
+    out.write(f"{result.spec.x_name},probability\n")
+    row = f"{result.spec.x_format},%{_FLOAT_FMT}\n"
+    for pair in zip(result.x.tolist(), result.probabilities.tolist()):
+        out.write(row % pair)
 
 
 @dataclass(frozen=True)
@@ -309,7 +303,7 @@ class SweepRow:
 
 def _sweep_point(spec: WalkSpec) -> SweepRow:
     result = run_experiment(spec)
-    plan = build_phase_plan(spec.n_vertices, spec.phi)
+    plan = spec.plan
     return SweepRow(
         n_vertices=spec.n_vertices,
         beta=spec.beta + 0.0,  # -0.0 prints as 0

@@ -7,11 +7,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from barrierwalk import experiments
 from barrierwalk.cli import main
+from barrierwalk.ctqw import corrected_gamma, ctqw_runtime, ctqw_success_curve
 from barrierwalk.experiments import (
     CtqwSpec,
     WalkSpec,
@@ -23,7 +24,13 @@ from barrierwalk.experiments import (
     write_curve_csv,
     write_sweep_csv,
 )
-from barrierwalk.phases import BlockedRegimeError
+from barrierwalk.phases import (
+    BlockedRegimeError,
+    build_phase_plan,
+    corrected_eta,
+    runtime_t_star,
+    runtime_t_star_exact,
+)
 
 
 def test_phi_from_beta():
@@ -94,6 +101,58 @@ def test_full_matches_reduced_for_any_marked_vertex(n, beta, corrected, steps, d
     full = run_experiment(WalkSpec(mode="dtqw-full", **kwargs))
     reduced = run_experiment(WalkSpec(mode="dtqw-reduced", **kwargs))
     assert np.abs(full.probabilities - reduced.probabilities).max() < 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 10**9),
+    epsilon=st.floats(0.0, 1.0, exclude_max=True),
+    gamma=st.none() | st.floats(1e-9, 10.0),
+    corrected=st.booleans(),
+    t_max=st.none() | st.floats(1e-3, 1e3),
+    samples=st.integers(2, 40),
+)
+def test_ctqw_spec_hands_its_rate_to_ctqw_params(
+    n, epsilon, gamma, corrected, t_max, samples
+):
+    assume(not (corrected and gamma is not None))
+    spec = CtqwSpec(n, epsilon, gamma, corrected, t_max, samples)
+    # the rate the docstring promises: corrected, else gamma, else 1/N
+    if corrected:
+        expected = corrected_gamma(n, epsilon)
+    else:
+        expected = 1.0 / n if gamma is None else gamma
+    assert spec.params().rate == expected
+    if corrected:
+        assert spec.predicted_peak() == ctqw_runtime(n)
+    result = run_experiment(spec)
+    grid_end = 1.5 * ctqw_runtime(n) if t_max is None else t_max
+    assert np.array_equal(result.x, np.linspace(0.0, grid_end, samples))
+    curve = ctqw_success_curve(spec.params(), result.x)
+    assert np.array_equal(result.probabilities, curve)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(3, 10**12),
+    beta=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    corrected=st.booleans(),
+)
+def test_walk_spec_reads_its_phase_plan(n, beta, corrected):
+    assume(not (corrected and beta == 1.0))
+    spec = WalkSpec(n, beta, corrected, mode="dtqw-reduced")
+    phi = phi_from_beta(beta)
+    assert spec.plan == build_phase_plan(n, phi)
+    assert spec.eta == (corrected_eta(phi, n) if corrected else 0.0)
+    if corrected:
+        window = math.ceil(1.35 * runtime_t_star_exact(phi, n))
+    else:
+        window = math.ceil(2.8 * runtime_t_star_exact(0.0, n))
+    assert spec.resolved_steps() == window
+    if corrected or beta == 0.0:
+        assert spec.predicted_peak() == float(runtime_t_star(phi, n))
+    else:
+        assert spec.predicted_peak() is None
 
 
 def test_result_fields_and_round_trip():

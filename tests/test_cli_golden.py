@@ -40,6 +40,10 @@ CASES: dict[str, tuple[list[str], str | None]] = {
         ["simulate", "--n", "16", "--beta", "0.4", "--marked", "3", "--out", "{tmp}/curve.csv"],
         None),
     "simulate-over-cap": (["simulate", "--n", "8192"], None),
+    # t* = 7853981309300 must print every digit, and the steps as integers.
+    "simulate-reduced-huge-n": (
+        ["simulate", "--mode", "dtqw-reduced", "--n", "10000000000000000",
+         "--beta", "0.9999999999", "--corrected", "--steps", "2"], None),
     "simulate-missing-n": (["simulate"], None),
     "simulate-bad-int": (["simulate", "--n", "16", "--steps", "abc"], None),
     "simulate-bad-mode": (["simulate", "--n", "16", "--mode", "ctqw"], None),
