@@ -29,8 +29,8 @@ from .phases import (
     BlockedRegimeError,
     PhasePlan,
     _check_steps,
+    _scaled_hoyer_residual,
     build_phase_plan,
-    hoyer_residual,
     runtime_t_star_exact,
 )
 from .reduced import (
@@ -43,6 +43,7 @@ from .reduced import (
 from .walk import (
     WalkParams,
     _THREADS,
+    _norm,
     evolve,
     initial_state,
     step,
@@ -369,7 +370,7 @@ _CHECK_TOLERANCES = {
     "reduced-unitarity": 1e-12,
     # coin_oracle @ psi = -psi, any eta
     "psi-minus-one-eigenvector": 1e-12,
-    # matching defect at the eta in use
+    # matching defect at the eta in use, times cos(phi) cos(eta/2)
     "hoyer-residual": 1e-12,
     # amplitude spread inside ab/ba/bb classes
     "symmetry-classes": 1e-10,
@@ -433,7 +434,7 @@ def run_verification(
             if not plan.blocked:
                 eta_used = 0.0 if force_eta_zero else plan.eta
                 _note(worst, "hoyer-residual",
-                      abs(hoyer_residual(phi, eta_used, plan.theta)))
+                      abs(_scaled_hoyer_residual(phi, eta_used, plan.theta)))
     return [
         CheckResult(name, worst[name], tolerance)
         for name, tolerance in _CHECK_TOLERANCES.items()
@@ -452,9 +453,11 @@ def _trajectory_deviations(
     for t in range(steps + 1):
         if t > 0:
             state = step(state, params)
-        for block in symmetry_classes(state, params.marked):
+        classes = symmetry_classes(state, params.marked)
+        for block in classes:
             _note(worst, "symmetry-classes", float(np.abs(block - block.mean()).max()))
-        _note(worst, "projection-residual", project(state, n, params.marked)[1])
+        _note(worst, "projection-residual",
+              project(state, n, params.marked, classes=classes)[1])
         _note(worst, "full-vs-reduced",
               abs(success_probability(state, params.marked) - reduced_probs[t]))
-        _note(worst, "norm-conservation", abs(float(np.linalg.norm(state)) - 1.0))
+        _note(worst, "norm-conservation", abs(_norm(state) - 1.0))

@@ -112,6 +112,18 @@ def hoyer_residual(phi: float, eta: float, theta: float) -> float:
     return math.tan(-phi) - math.tan(eta / 2.0) * (1.0 - 2.0 * math.sin(theta) ** 2)
 
 
+def _scaled_hoyer_residual(phi: float, eta: float, theta: float) -> float:
+    # hoyer_residual times cos(phi) cos(eta/2), which has the same zeros and
+    # no tangent:  -sin(phi) cos(eta/2) - sin(eta/2) cos(phi) (1 - 2 sin^2 theta).
+    # Near phi = pi/2 the unscaled form subtracts two tan(phi)-sized terms, and
+    # the rounding of eta alone moves it by 1e-8 at phi = 1.5707; here every
+    # term is at most 1 in size, so its rounding stays near 1e-16.
+    h = eta / 2.0
+    return -math.sin(phi) * math.cos(h) - math.sin(h) * math.cos(phi) * (
+        1.0 - 2.0 * math.sin(theta) ** 2
+    )
+
+
 def rotation_angle_sigma(phi: float, n_vertices: int) -> float:
     """Per-step rotation angle of the corrected walk.
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phases import _check_eta, _check_marked, _check_n, _check_phi, _check_steps
-from .walk import _as_state
+from .walk import _as_state, _norm
 
 __all__ = [
     "ReducedOperators",
@@ -185,7 +185,7 @@ def embed(
 
 
 def project(
-    full: np.ndarray, n_vertices: int, marked: int = 0
+    full: np.ndarray, n_vertices: int, marked: int = 0, *, classes: tuple | None = None
 ) -> tuple[np.ndarray, float]:
     """Adjoint of embed, plus the norm of what the subspace misses.
 
@@ -194,18 +194,21 @@ def project(
     full - embed(reduced).  The residual is computed from that difference
     vector directly; the algebraically equal sqrt(|full|^2 - |reduced|^2)
     would turn rounding noise into sqrt(eps)-sized garbage near zero.
+    A caller that already holds symmetry_classes(full, marked) passes them
+    as classes, and they are not taken again.
     """
     arr = np.asarray(full, dtype=np.complex128)
     dim = n_vertices * (n_vertices - 1)
     if arr.shape != (dim,):
         raise ValueError(f"full state must have shape ({dim},), got {arr.shape}")
+    if classes is None:
+        classes = symmetry_classes(arr, marked)
     reduced = np.array(
-        [block.sum() / math.sqrt(block.size) for block in symmetry_classes(arr, marked)],
+        [block.sum() / math.sqrt(block.size) for block in classes],
         dtype=np.complex128,
     )
     gap = embed(reduced, n_vertices, marked)
-    residual = float(np.linalg.norm(np.subtract(arr, gap, out=gap)))
-    return reduced, residual
+    return reduced, _norm(np.subtract(arr, gap, out=gap))
 
 
 # evolve_reduced evaluates steps in chunks of this many, so its temporaries

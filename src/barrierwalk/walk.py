@@ -21,6 +21,8 @@ The apply_* functions are the readable reference, one operator each.  step
 and evolve run all three as one in-place pass over the N x (N-1) matrix of
 amplitudes, tile pair by tile pair (see _stepper): no index
 permutation or state-sized temporary, and bitwise the reference's result.
+The pass reads and writes the state only along its rows, each tile once;
+the flip-flop transpose runs between tile-sized scratch buffers.
 Tile rows of that pass touch disjoint amplitudes, so each evolve or step
 call hands them, and the row sums taken before them, to a thread pool of
 one thread per usable CPU (the affinity mask), which ends with the call.
@@ -100,9 +102,11 @@ def vertex_count(dim: int) -> int:
     return n
 
 
-# Side of the square tiles _stepper sweeps.  128 ran fastest among
-# 48..192 at N = 512..4096 on a 2-vCPU AMD EPYC with 1 MB of L2 per core,
-# which three 256 KB scratch tiles and most of the tile pair fit.
+# Side of the square tiles _stepper sweeps.  On a 2-vCPU Intel Xeon with
+# 2 MB of L2 per core, 112 and 128 ran fastest among 64..128 at N = 1024..4096
+# on two threads (96 was 5% faster on one thread at N = 4096); past 128 the
+# four 256 KB scratch tiles of a tile row would pass 1 MB per thread.  128
+# also ran fastest among 48..192 on a 2-vCPU AMD EPYC with 1 MB of L2 per core.
 _TILE = 128
 
 
@@ -148,6 +152,24 @@ def _as_state(state: np.ndarray) -> tuple[np.ndarray, int]:
     if arr.ndim != 1:
         raise ValueError(f"state must be one-dimensional, got shape {arr.shape}")
     return arr, vertex_count(arr.shape[0])
+
+
+# _norm squares and sums this many doubles at a time (512 KB).
+_NORM_CHUNK = 1 << 16
+
+
+def _norm(x: np.ndarray) -> float:
+    # 2-norm of a contiguous complex array: numpy's pairwise sum over the
+    # squares of its float view, a chunk at a time, so no temporary is state
+    # sized.  np.linalg.norm is a BLAS dot, whose rounding changes with the
+    # number of threads OpenBLAS splits it across, and whose own error (5e-14
+    # at N = 128) hid the 2e-15 norm drift of a 100-step walk.
+    v = x.view(np.float64)
+    total = 0.0
+    for k in range(0, v.size, _NORM_CHUNK):
+        part = v[k : k + _NORM_CHUNK]
+        total += np.add.reduce(part * part)
+    return math.sqrt(total)
 
 
 def initial_state(params: WalkParams) -> np.ndarray:
@@ -252,12 +274,12 @@ def _coin_shift_tile_row(
 ) -> None:
     # Coin and lazy shift of tiles (I, J) and (J, I) for J >= I, I the tile
     # of vertices i0..i0+b-1.  Tile rows touch disjoint amplitudes, so any
-    # number of them may run at once, each through its own three tile-sized
+    # number of them may run at once, each through its own four tile-sized
     # scratch buffers.
     n = a.shape[0]
     i1 = min(i0 + b, n)
     cm_i = cm[i0:i1, None]
-    scratch = np.empty((3, b * b), dtype=np.complex128)
+    scratch = np.empty((4, b * b), dtype=np.complex128)
     # Vertices i0..i1-1 among themselves: the flat layout of K_(i1-i0).
     d = a[i0:i1, i0 : i1 - 1]
     x, y = scratch[0, : d.size], scratch[1, : d.size]
@@ -270,28 +292,25 @@ def _coin_shift_tile_row(
     d += coin
     for j0 in range(i1, n, b):
         j1 = min(j0 + b, n)
-        # Slots of tile i pointing into tile j (w > v, so slot w - 1),
-        # and the transposed slots of tile j pointing back (slot w).
+        # Slots of tile I pointing into tile J (w > v, so slot w - 1), and
+        # the slots of tile J pointing back (slot w), tile (J, I).  Each is
+        # read once and written once, both along the state's rows; the
+        # flip-flop transpose is a strided read of a scratch tile, which
+        # stays in L2.  Done as a transposed write into the state, which
+        # jumps a state row (65 KB at N = 4096) per element, it took 79 ms of
+        # a 205 ms single-thread step at N = 4096 on a 2-vCPU Intel Xeon.
         u = a[i0:i1, j0 - 1 : j1 - 1]
-        lt = a[j0:j1, i0:i1].T
-        cu, cl, q = scratch[:, : u.size].reshape(3, *u.shape)
+        low = a[j0:j1, i0:i1]
+        cu, q = scratch[:2, : u.size].reshape(2, *u.shape)
+        cl, r = scratch[2:, : u.size].reshape(2, *low.shape)
         np.subtract(cm_i, u, out=cu)
-        # Copy tile (J, I) into q in its own row order before reading it
-        # transposed.  Read transposed straight from the state, its first
-        # touch jumps a row per element, and at N = 1024 the step's time
-        # swung with what other tenants did to a shared last-level cache
-        # (interquartile range 23% of the median on a 2-vCPU AMD EPYC, 15%
-        # with the copy).
-        near = q.reshape(lt.T.shape)
-        np.copyto(near, lt.T)
-        np.subtract(cm[j0:j1], near.T, out=cl)
+        np.subtract(cm[j0:j1, None], low, out=cl)
         np.multiply(cu, isin, out=q)
-        np.multiply(cl, cos, out=u)
-        u += q
+        np.multiply(cl, cos, out=r)
+        np.add(r.T, q, out=u)
         cu *= cos
         cl *= isin
-        # one strided write; the strided views are the slow passes
-        np.add(cu, cl, out=lt)
+        np.add(cu.T, cl, out=low)
 
 
 def success_probability(state: np.ndarray, marked: int) -> float:

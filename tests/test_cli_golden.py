@@ -70,10 +70,15 @@ CASES: dict[str, tuple[list[str], str | None]] = {
     "verify-force-eta-zero": (
         ["verify", "--n", "4", "--phi", "0,0.3", "--steps", "20", "--force-eta-zero"], None),
     # N = 100 sums the bb class pairwise, so a change to its summation order
-    # shows; its states stay under the 10,000 elements above which OpenBLAS
-    # splits np.linalg.norm's dot products across threads, so the bytes do
-    # not depend on the CPU count.
+    # shows.
     "verify-n100": (["verify", "--n", "100", "--phi", "0", "--steps", "100"], None),
+    # 16,256 amplitudes, past the 10,000 above which OpenBLAS would split a
+    # dot product across threads; verify's norms take no BLAS, so these bytes
+    # hold on one CPU and on several (CI also runs the suite under taskset).
+    "verify-n128": (["verify", "--n", "128", "--phi", "0", "--steps", "100"], None),
+    # Near pi/2 the unscaled phase-matching defect rounds to 1e-8 and failed
+    # a correct walk.
+    "verify-near-blocking": (["verify", "--n", "16", "--phi", "1.5707", "--steps", "2"], None),
     "config-simulate": (
         ["simulate", "--config", "{cfg}", "--steps", "8"],
         "# comment\nn = 16\nbeta = 0.4\ncorrected = true\nsteps = 30\nmax-full-n = 64\n"),

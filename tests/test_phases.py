@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from barrierwalk.experiments import phi_from_beta, run_sweep
 from barrierwalk.phases import (
     BlockedRegimeError,
+    _scaled_hoyer_residual,
     blocking_regime_runtime,
     build_phase_plan,
     corrected_eta,
@@ -79,6 +80,22 @@ def test_hoyer_residual_negative_control():
     assert residual == pytest.approx(expected, abs=1e-15)
     assert residual == pytest.approx(-0.05424392948459972, abs=1e-12)
     assert abs(residual) > 1e-3  # clearly nonzero for a mismatched eta
+
+
+def test_scaled_hoyer_residual_stays_small_near_blocking():
+    # verify's form of the defect: hoyer_residual times cos(phi) cos(eta/2).
+    # The unscaled defect at phi = 1.5707 rounds to about 1e-8; the scaled
+    # one keeps every term at most 1 in size.
+    for phi in (0.3, 1.0, 1.5707, math.pi / 2 - 1e-9):
+        for n in (3, 16, 1024, 10**12):
+            eta = corrected_eta(phi, n)
+            assert abs(_scaled_hoyer_residual(phi, eta, overlap_angle(n))) < 1e-15
+    theta = overlap_angle(1024)
+    scale = math.cos(0.3) * math.cos(-0.25)
+    assert _scaled_hoyer_residual(0.3, -0.5, theta) == pytest.approx(
+        hoyer_residual(0.3, -0.5, theta) * scale, rel=1e-14
+    )
+    assert _scaled_hoyer_residual(0.3, 0.0, theta) == pytest.approx(-math.sin(0.3), rel=1e-15)
 
 
 def test_hoyer_residual_singularities():

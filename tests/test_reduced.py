@@ -216,6 +216,18 @@ def test_project_round_trip_and_residual():
         embed(np.zeros(4), 8)
 
 
+def test_project_reads_classes_it_is_given():
+    # verify takes the classes once per step and hands them to project;
+    # the result is bitwise the one project gets by taking them itself
+    n, marked = 40, 17
+    state = random_state(n * (n - 1), seed=11)
+    classes = symmetry_classes(state, marked)
+    given, residual = project(state, n, marked, classes=classes)
+    own, own_residual = project(state, n, marked)
+    assert np.array_equal(given.view(np.uint64), own.view(np.uint64))
+    assert residual == own_residual
+
+
 _UNIT = st.floats(-1.0, 1.0)
 
 

@@ -234,6 +234,34 @@ def test_one_vertex_last_tile_row_is_the_apply_composition(monkeypatch, tile, th
                 assert np.array_equal(step(state, params), reference)
 
 
+@pytest.mark.parametrize("n", [385, 513, 1000])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_short_last_tile_row_is_the_apply_composition(monkeypatch, n, threads):
+    # With the real _TILE these N end in a short tile row (1, 1 and 104
+    # vertices), so short J tiles meet full I tiles and the transposed
+    # scratch views must take the shape of the state's (J, I) tile; the
+    # marked vertex sits in that short row.  Compared bit for bit, so a
+    # signed zero that differs shows too.
+    monkeypatch.setattr(walk, "_THREADS", threads)
+    phi = 0.7
+    eta = corrected_eta(phi, n)
+    params = WalkParams(n, phi=phi, eta=eta, marked=n - 1)
+
+    def reference(state):
+        return apply_lazy_shift(apply_coin(apply_oracle(state, n - 1, eta), eta), phi)
+
+    state = random_state(n * (n - 1), seed=n)
+    assert np.array_equal(
+        step(state, params).view(np.uint64), reference(state).view(np.uint64)
+    )
+    state = initial_state(params)
+    probs = [success_probability(state, n - 1)]
+    for _ in range(3):
+        state = reference(state)
+        probs.append(success_probability(state, n - 1))
+    assert np.array_equal(evolve(params, 3).view(np.uint64), np.array(probs).view(np.uint64))
+
+
 def test_split_step_threads_end_with_the_call(monkeypatch):
     # Two threads split N = 512 (four 128-vertex tile rows) but not N = 256
     # (two rows); each evolve or step call has its own pool, and no thread
@@ -309,6 +337,19 @@ def test_step_norm_drift_200():
         state = step(state, params)
         worst = max(worst, abs(np.linalg.norm(state) - 1.0))
     assert worst < 1e-10
+
+
+@pytest.mark.parametrize("size", [1, 7, 64, 1000])
+def test_norm_is_a_pairwise_sum_in_chunks(monkeypatch, size):
+    # Chunks of 64 doubles split the larger arrays; each chunk's squares are
+    # summed pairwise, so the result stays within a few ulps of the exact sum
+    # of the rounded squares.
+    monkeypatch.setattr(walk, "_NORM_CHUNK", 64)
+    x = random_state(size, seed=size) * 3.0
+    v = x.view(np.float64)
+    exact = math.sqrt(math.fsum(v * v))
+    assert walk._norm(x) == pytest.approx(exact, rel=1e-15)
+    assert walk._norm(x[:0]) == 0.0
 
 
 def test_success_probability_concentrated():
