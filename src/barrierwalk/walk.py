@@ -21,11 +21,12 @@ The apply_* functions are the readable reference, one operator each.  step
 and evolve run all three as one in-place pass over the N x (N-1) matrix of
 amplitudes, tile pair by tile pair (see _stepper): no index
 permutation or state-sized temporary, and bitwise the reference's result.
-The pass reads and writes the state only along its rows, each tile once;
-the flip-flop transpose runs between tile-sized scratch buffers.
+The pass touches the state only to copy each tile into tile-sized scratch
+and the result back, once each; the arithmetic runs on contiguous scratch.
 Tile rows of that pass touch disjoint amplitudes, so each evolve or step
 call hands them, and the row sums taken before them, to a thread pool of
-one thread per usable CPU (the affinity mask), which ends with the call.
+one thread per usable CPU (the affinity mask), which ends with the call;
+evolve fills its initial state on the same pool.
 A call splits only when every thread gets at least two 128-vertex tile rows
 (N > 384 on two CPUs); smaller N runs inline.  Every amplitude gets the
 same floating-point operations whatever the thread count.
@@ -293,24 +294,27 @@ def _coin_shift_tile_row(
     for j0 in range(i1, n, b):
         j1 = min(j0 + b, n)
         # Slots of tile I pointing into tile J (w > v, so slot w - 1), and
-        # the slots of tile J pointing back (slot w), tile (J, I).  Each is
-        # read once and written once, both along the state's rows; the
-        # flip-flop transpose is a strided read of a scratch tile, which
-        # stays in L2.  Done as a transposed write into the state, which
-        # jumps a state row (65 KB at N = 4096) per element, it took 79 ms of
-        # a 205 ms single-thread step at N = 4096 on a 2-vCPU Intel Xeon.
+        # the slots of tile J pointing back (slot w), tile (J, I), copied in
+        # the layout of (I, J).  Only np.copyto touches the state; every
+        # ufunc runs on contiguous scratch, and each result is copied back
+        # once.  A ufunc over a strided 2-D view pays numpy's overhead per
+        # row: at N = 4096 on a 2-vCPU Intel Xeon, a coin subtract reading a
+        # state tile took 50-63 us, against 29 us to copy it and subtract.
         u = a[i0:i1, j0 - 1 : j1 - 1]
         low = a[j0:j1, i0:i1]
-        cu, q = scratch[:2, : u.size].reshape(2, *u.shape)
-        cl, r = scratch[2:, : u.size].reshape(2, *low.shape)
-        np.subtract(cm_i, u, out=cu)
-        np.subtract(cm[j0:j1, None], low, out=cl)
+        cu, cl, q, r = scratch[:, : u.size].reshape(4, *u.shape)
+        np.copyto(cu, u)
+        np.copyto(cl, low.T)
+        np.subtract(cm_i, cu, out=cu)
+        np.subtract(cm[None, j0:j1], cl, out=cl)
         np.multiply(cu, isin, out=q)
         np.multiply(cl, cos, out=r)
-        np.add(r.T, q, out=u)
+        np.add(r, q, out=q)
+        np.copyto(u, q)
         cu *= cos
         cl *= isin
-        np.add(cu.T, cl, out=low)
+        np.add(cu, cl, out=q)
+        np.copyto(low, q.T)
 
 
 def success_probability(state: np.ndarray, marked: int) -> float:
@@ -324,10 +328,18 @@ def success_probability(state: np.ndarray, marked: int) -> float:
 def evolve(params: WalkParams, steps: int) -> np.ndarray:
     """Success-probability trajectory; entry t is after t steps (entry 0 = 1/N)."""
     _check_steps(steps)
-    state = initial_state(params)
+    n = params.n_vertices
+    state = np.empty(params.dim, dtype=np.complex128)
+    rows, b = state.reshape(n, n - 1), min(_TILE, n)
+    value = 1.0 / math.sqrt(params.dim)
     probs = np.empty(steps + 1)
-    probs[0] = success_probability(state, params.marked)
-    with _kernel_pool(params.n_vertices) as pool:
+    with _kernel_pool(n) as pool:
+        # initial_state's bytes, written tile row by tile row on the pool's
+        # threads, so the first touch of the state's pages (268 MB at
+        # N = 4096) splits across them.
+        run = map if pool is None else pool.map
+        list(run(lambda i0: rows[i0 : i0 + b].fill(value), range(0, n, b)))
+        probs[0] = success_probability(state, params.marked)
         advance = _stepper(state, params, pool)
         for t in range(1, steps + 1):
             advance()

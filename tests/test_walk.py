@@ -234,6 +234,18 @@ def test_one_vertex_last_tile_row_is_the_apply_composition(monkeypatch, tile, th
                 assert np.array_equal(step(state, params), reference)
 
 
+def _nan_empty(real_empty):
+    # np.empty that fills what it returns with NaN, so an amplitude or a
+    # scratch element read before it is written shows, whatever memory the
+    # allocator hands back.
+    def empty(*args, **kwargs):
+        out = real_empty(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    return empty
+
+
 @pytest.mark.parametrize("n", [385, 513, 1000])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_short_last_tile_row_is_the_apply_composition(monkeypatch, n, threads):
@@ -241,8 +253,11 @@ def test_short_last_tile_row_is_the_apply_composition(monkeypatch, n, threads):
     # vertices), so short J tiles meet full I tiles and the transposed
     # scratch views must take the shape of the state's (J, I) tile; the
     # marked vertex sits in that short row.  Compared bit for bit, so a
-    # signed zero that differs shows too.
+    # signed zero that differs shows too.  evolve writes initial_state's
+    # bytes itself, tile row by tile row on its threads; np.empty hands out
+    # NaN here, so a tile row that fill skips changes every entry.
     monkeypatch.setattr(walk, "_THREADS", threads)
+    monkeypatch.setattr(np, "empty", _nan_empty(np.empty))
     phi = 0.7
     eta = corrected_eta(phi, n)
     params = WalkParams(n, phi=phi, eta=eta, marked=n - 1)
@@ -260,6 +275,7 @@ def test_short_last_tile_row_is_the_apply_composition(monkeypatch, n, threads):
         state = reference(state)
         probs.append(success_probability(state, n - 1))
     assert np.array_equal(evolve(params, 3).view(np.uint64), np.array(probs).view(np.uint64))
+    assert evolve(params, 0).tolist() == probs[:1]
 
 
 def test_split_step_threads_end_with_the_call(monkeypatch):
@@ -322,6 +338,18 @@ def test_step_and_evolve_memory_stay_near_one_state():
     state_bytes = 16 * params.dim
     assert _traced_peak(lambda: evolve(params, 3)) <= 1.25 * state_bytes
     assert _traced_peak(lambda: step(initial_state(params), params)) <= 2.25 * state_bytes
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_evolve_scratch_stays_four_tiles_per_thread(monkeypatch, threads):
+    # Beyond its state, evolve holds four 128 x 128 complex scratch tiles
+    # (1 MiB) per thread and a few length-N vectors: 1.28 MiB per thread at
+    # N = 1024.  A fifth tile would read 1.53 MiB and spill a 1 MB L2.
+    monkeypatch.setattr(walk, "_THREADS", threads)
+    params = WalkParams(1024, phi=0.4, eta=corrected_eta(0.4, 1024), marked=5)
+    evolve(params, 1)  # the first call also caches the diagonal tiles' index
+    per_thread = (_traced_peak(lambda: evolve(params, 3)) - 16 * params.dim) / threads
+    assert per_thread <= 1.4 * 2**20
 
 
 def test_step_rejects_mismatched_state():
