@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phases import _check_marked
+from .phases import _check_marked, _check_n as _check_vertices
 
 __all__ = [
     "CtqwParams",
@@ -34,9 +34,9 @@ __all__ = [
 
 
 def _check_n(n_vertices: int) -> None:
-    # The 2x2 model needs one unmarked vertex, not the discrete walk's two.
-    if n_vertices < 2:
-        raise ValueError(f"need at least 2 vertices, got {n_vertices}")
+    # The 2x2 model needs one unmarked vertex, not the discrete walk's two;
+    # the ceiling on N is the discrete walk's.
+    _check_vertices(n_vertices, least=2)
 
 
 def _check_epsilon(epsilon: float) -> None:

@@ -19,12 +19,10 @@ __all__ = [
     "PhasePlan",
     "overlap_angle",
     "corrected_eta",
-    "hoyer_residual",
     "rotation_angle_sigma",
     "runtime_t_star",
     "runtime_t_star_exact",
     "runtime_large_n",
-    "blocking_regime_runtime",
     "build_phase_plan",
 ]
 
@@ -40,9 +38,19 @@ class BlockedRegimeError(ValueError):
     """
 
 
-def _check_n(n_vertices: int) -> None:
-    if n_vertices < 3:
-        raise ValueError(f"need at least 3 vertices, got {n_vertices}")
+# Largest N accepted: past it 1/N nears the subnormal floats (at N = 10^308
+# the step-0 probability already rounds to 0), and past about 1.8e308 N no
+# longer converts to a float at all.
+_MAX_N = 10**300
+
+
+def _check_n(n_vertices: int, least: int = 3) -> None:
+    if n_vertices < least:
+        raise ValueError(f"need at least {least} vertices, got {n_vertices}")
+    if n_vertices > _MAX_N:
+        raise ValueError(
+            f"need at most 10^300 vertices, got a {len(str(n_vertices))}-digit N"
+        )
 
 
 def _check_phi(phi: float, allow_blocked: bool) -> None:
@@ -95,29 +103,15 @@ def corrected_eta(phi: float, n_vertices: int) -> float:
     return eta + 0.0
 
 
-def hoyer_residual(phi: float, eta: float, theta: float) -> float:
-    """Phase-matching defect tan(-phi) - tan(eta/2) * (1 - 2*sin(theta)^2).
-
-    Zero exactly when (phi, eta) satisfy the matching condition for a
-    search with overlap angle theta; the sign and size of a nonzero value
-    indicate how far off a candidate eta is.
-    """
-    for name, value in (("phi", phi), ("eta", eta), ("theta", theta)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if abs(phi) == _HALF_PI or abs(eta) == math.pi:
-        raise BlockedRegimeError(
-            "tangent singularity: need |phi| < pi/2 and |eta| < pi"
-        )
-    return math.tan(-phi) - math.tan(eta / 2.0) * (1.0 - 2.0 * math.sin(theta) ** 2)
-
-
 def _scaled_hoyer_residual(phi: float, eta: float, theta: float) -> float:
-    # hoyer_residual times cos(phi) cos(eta/2), which has the same zeros and
-    # no tangent:  -sin(phi) cos(eta/2) - sin(eta/2) cos(phi) (1 - 2 sin^2 theta).
-    # Near phi = pi/2 the unscaled form subtracts two tan(phi)-sized terms, and
+    # Hoyer's phase-matching defect tan(-phi) - tan(eta/2) (1 - 2 sin^2 theta),
+    # zero exactly when (phi, eta) match for overlap angle theta, times
+    # cos(phi) cos(eta/2), which has the same zeros and no tangent:
+    #     -sin(phi) cos(eta/2) - sin(eta/2) cos(phi) (1 - 2 sin^2 theta).
+    # Near phi = pi/2 the tangent form subtracts two tan(phi)-sized terms, and
     # the rounding of eta alone moves it by 1e-8 at phi = 1.5707; here every
-    # term is at most 1 in size, so its rounding stays near 1e-16.
+    # term is at most 1 in size, so its rounding stays near 1e-16.  verify
+    # checks this form; the tangent form is kept in tests/oracles.py.
     h = eta / 2.0
     return -math.sin(phi) * math.cos(h) - math.sin(h) * math.cos(phi) * (
         1.0 - 2.0 * math.sin(theta) ** 2
@@ -172,19 +166,6 @@ def runtime_large_n(phi: float, n_vertices: int) -> float:
     _check_n(n_vertices)
     _check_phi(phi, allow_blocked=False)
     return math.pi * math.sqrt(n_vertices) / (2.0 * math.sqrt(2.0) * math.cos(phi))
-
-
-def blocking_regime_runtime(delta: float, n_vertices: int) -> float:
-    """Runtime blowup pi*sqrt(N) / (2*sqrt(2)*delta) near total blocking.
-
-    delta = pi/2 - phi measures the distance from the blocking point; the
-    corrected walk still works there but slows down as 1/delta.  Valid for
-    small delta > 0.
-    """
-    _check_n(n_vertices)
-    if not 0.0 < delta <= _HALF_PI:
-        raise ValueError(f"delta must lie in (0, pi/2], got {delta}")
-    return math.pi * math.sqrt(n_vertices) / (2.0 * math.sqrt(2.0) * delta)
 
 
 @dataclass(frozen=True)

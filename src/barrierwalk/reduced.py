@@ -8,11 +8,14 @@ of three symmetry-adapted states, indexed in this order throughout:
     bb -- unmarked vertices pointing among themselves
 
 This module builds the walk operators restricted to that subspace (3x3
-matrices in the (ab, ba, bb) basis), the distinguished states used in the
-rotation analysis, and the isometry between the subspace and the full
-N*(N-1)-dimensional space.  The classes are read straight off the N x (N-1)
-amplitude matrix (the ab row and the ba slots are slices of it), so embed and
-project build no N(N-1) index array and cache nothing.
+matrices in the (ab, ba, bb) basis), their eta-independent eigenvector
+psi_minus_one, and the isometry between the subspace and the full
+N*(N-1)-dimensional space.  The in-plane states of the rotation analysis
+(the target w, the unmarked state s and their complements) are written out
+in tests/oracles.py, where the tests check them.  The classes are read
+straight off the N x (N-1) amplitude matrix (the ab row and the ba slots are
+slices of it), so embed and project build no N(N-1) index array and cache
+nothing.
 
 The key structural fact: psi_minus_one below is a (-1)-eigenvector of the
 combined coin/oracle matrix for every phase eta, so the interesting dynamics
@@ -38,10 +41,6 @@ __all__ = [
     "ReducedOperators",
     "build_reduced_operators",
     "psi_minus_one",
-    "s_and_w_states",
-    "w_perp_state",
-    "s_perp_state",
-    "reduced_initial_state",
     "symmetry_classes",
     "embed",
     "project",
@@ -92,54 +91,6 @@ def psi_minus_one(n_vertices: int) -> np.ndarray:
     root = math.sqrt(n_vertices - 2.0)
     vec = np.array([-root, -root, 1.0], dtype=np.complex128)
     return vec / math.sqrt(2.0 * n_vertices - 3.0)
-
-
-def s_and_w_states(n_vertices: int) -> tuple[np.ndarray, np.ndarray]:
-    """The coin-uniform unmarked state s and the target state w.
-
-    Both are orthogonal to psi_minus_one, so they live in the plane where
-    the corrected walk rotates.  Their overlap is <s|w> = -1/sqrt(2(N-1)),
-    whose magnitude is sin(theta) from the phase-matching condition.
-    """
-    _check_n(n_vertices)
-    n = n_vertices
-    s = np.array(
-        [0.0, 1.0 / math.sqrt(n - 1.0), math.sqrt((n - 2.0) / (n - 1.0))],
-        dtype=np.complex128,
-    )
-    w = np.array([1.0, -1.0, 0.0], dtype=np.complex128) / math.sqrt(2.0)
-    return s, w
-
-
-def _perp_within_plane(anchor: np.ndarray, other: np.ndarray) -> np.ndarray:
-    # Gram-Schmidt: unit vector orthogonal to anchor inside span{anchor, other},
-    # sign fixed so the bb component is positive.
-    vec = other - np.vdot(anchor, other) * anchor
-    vec = vec / np.linalg.norm(vec)
-    if vec[2].real < 0.0:
-        vec = -vec
-    return vec
-
-
-def w_perp_state(n_vertices: int) -> np.ndarray:
-    """Unit vector orthogonal to w in the plane orthogonal to psi_minus_one."""
-    s, w = s_and_w_states(n_vertices)
-    return _perp_within_plane(w, s)
-
-
-def s_perp_state(n_vertices: int) -> np.ndarray:
-    """Unit vector orthogonal to s in the plane orthogonal to psi_minus_one."""
-    s, w = s_and_w_states(n_vertices)
-    return _perp_within_plane(s, w)
-
-
-def reduced_initial_state(n_vertices: int) -> np.ndarray:
-    """The uniform full-space state expressed in the (ab, ba, bb) basis."""
-    _check_n(n_vertices)
-    vec = np.array(
-        [1.0, 1.0, math.sqrt(n_vertices - 2.0)], dtype=np.complex128
-    )
-    return vec / math.sqrt(n_vertices)
 
 
 def _ba_views(a: np.ndarray, marked: int) -> tuple[np.ndarray, np.ndarray]:

@@ -17,10 +17,10 @@ One search step applies, reading the operator product right to left:
 With phi = 0 and eta = 0 this is plain quantum-walk search; nonzero eta is
 the phase-matched correction that compensates the barrier (see phases.py).
 
-The apply_* functions are the readable reference, one operator each.  step
-and evolve run all three as one in-place pass over the N x (N-1) matrix of
-amplitudes, tile pair by tile pair (see _stepper): no index
-permutation or state-sized temporary, and bitwise the reference's result.
+step and evolve run all three as one in-place pass over the N x (N-1)
+matrix of amplitudes, tile pair by tile pair (see _stepper), with no index
+permutation or state-sized temporary.  The result is bitwise that of the
+three operators applied one at a time, as tests/oracles.py writes them.
 The pass touches the state only to copy each tile into tile-sized scratch
 and the result back, once each; the arithmetic runs on contiguous scratch.
 Tile rows of that pass touch disjoint amplitudes, so each evolve or step
@@ -50,9 +50,6 @@ __all__ = [
     "WalkParams",
     "vertex_count",
     "initial_state",
-    "apply_lazy_shift",
-    "apply_coin",
-    "apply_oracle",
     "step",
     "success_probability",
     "evolve",
@@ -130,20 +127,16 @@ def _kernel_pool(n: int) -> ThreadPoolExecutor | nullcontext[None]:
     return ThreadPoolExecutor(threads) if threads > 1 else nullcontext()
 
 
-def _flip_flop_permutation(n: int) -> np.ndarray:
-    # perm[index(v, ->w)] = index(w, ->v); an involution on 0..N(N-1)-1.
-    # Flat index v*(N-1) + c is vertex v's coin slot c, pointing at w.
-    v = np.repeat(np.arange(n), n - 1)
-    c = np.tile(np.arange(n - 1), n)
-    w = c + (c >= v)
-    return w * (n - 1) + (v - (v > w))
-
-
 @lru_cache(maxsize=4)
 def _tile_permutation(b: int) -> np.ndarray:
-    # The kernel's diagonal tiles reuse the permutation at tile size; the
-    # full-N one (up to 134 MB at N = 4096) is never cached.
-    perm = _flip_flop_permutation(b)
+    # perm[index(v, ->w)] = index(w, ->v) on the flat layout of K_b, the
+    # flip-flop pairing within one of the kernel's diagonal tiles; flat index
+    # v*(b-1) + c is vertex v's coin slot c, pointing at w.  Only tile-sized
+    # permutations are built and cached, never the state-sized one.
+    v = np.repeat(np.arange(b), b - 1)
+    c = np.tile(np.arange(b - 1), b)
+    w = c + (c >= v)
+    perm = w * (b - 1) + (v - (v > w))
     perm.flags.writeable = False
     return perm
 
@@ -178,42 +171,16 @@ def initial_state(params: WalkParams) -> np.ndarray:
     return np.full(params.dim, 1.0 / math.sqrt(params.dim), dtype=np.complex128)
 
 
-def apply_lazy_shift(state: np.ndarray, phi: float) -> np.ndarray:
-    """Barrier-afflicted flip-flop shift cos(phi)*S + i*sin(phi)*I."""
-    arr, n = _as_state(state)
-    perm = _flip_flop_permutation(n)
-    return math.cos(phi) * arr[perm] + (1j * math.sin(phi)) * arr
-
-
-def apply_coin(state: np.ndarray, eta: float = 0.0) -> np.ndarray:
-    """Per-vertex diffusion coin (1 + exp(i*eta))|s_c><s_c| - I.
-
-    eta = 0 gives the standard Grover diffusion 2|s_c><s_c| - I.
-    """
-    arr, n = _as_state(state)
-    blocks = arr.reshape(n, n - 1)
-    mean = blocks.mean(axis=1, keepdims=True)
-    return ((1.0 + np.exp(1j * eta)) * mean - blocks).reshape(-1)
-
-
-def apply_oracle(state: np.ndarray, marked: int, eta: float = 0.0) -> np.ndarray:
-    """Multiply the marked vertex's coin block by -exp(-i*eta).
-
-    eta = 0 is the plain sign flip at the marked vertex.
-    """
-    arr, n = _as_state(state)
-    _check_marked(marked, n)
-    out = arr.copy()
-    out[marked * (n - 1) : (marked + 1) * (n - 1)] *= -np.exp(-1j * eta)
-    return out
-
-
 def step(state: np.ndarray, params: WalkParams) -> np.ndarray:
     """One application of the search operator: oracle, then coin, then shift.
 
     The ordering is fixed; the two reflections sit in the opposite order
     from textbook Grover, which changes nothing asymptotically but matters
     for exact trajectories.  Returns a new array; the input is not modified.
+
+    evolve keeps one state and steps it in place; step stays public because
+    verify drives its full-space trajectories through it, one step at a
+    time, and the benchmark's self-test counts its calls there.
     """
     arr, n = _as_state(state)
     if n != params.n_vertices:
@@ -230,8 +197,9 @@ def _stepper(
     flat: np.ndarray, params: WalkParams, pool: ThreadPoolExecutor | None
 ) -> Callable[[], None]:
     # A function that applies step() to the contiguous complex128 state flat
-    # in place, with the same floating-point operations as the apply_*
-    # composition; what stays fixed from step to step is prepared here once.
+    # in place, with the same floating-point operations as the oracle, coin
+    # and shift applied one at a time (the reference in tests/oracles.py);
+    # what stays fixed from step to step is prepared here once.
     # Amplitude (v, ->w) and its flip-flop partner (w, ->v) sit in the same
     # pair of square tiles (vertex tile I pointing into tile J, and J back
     # into I), and the coin needs only the row means taken up front, so each
@@ -247,9 +215,10 @@ def _stepper(
     starts = range(0, n, b)
     sums = np.empty(n, dtype=np.complex128)
     row_sums = partial(_row_sums, a, b, sums)
-    # apply_coin's (1 + e^{i eta}) * mean, with np.mean's own sum and division.
-    # The product goes to an array of its own, as apply_coin's does: numpy
-    # rounds an in-place complex product over a one-element array differently.
+    # The coin's (1 + e^{i eta}) * mean, with np.mean's own sum and division.
+    # The product goes to an array of its own, as the reference coin's does:
+    # numpy rounds an in-place complex product over a one-element array
+    # differently.
     coin = 1.0 + np.exp(1j * params.eta)
     cm = np.empty(n, dtype=np.complex128)
     coin_shift = partial(_coin_shift_tile_row, a, b, cm, params.alpha, params.beta)

@@ -1,13 +1,23 @@
-"""Independent dense-matrix references for cross-checking the package.
+"""Independent references for cross-checking the package.
 
-Everything here rebuilds operators from their definitions as explicit
-matrices, sharing no code with the package: the walk step as an
-N(N-1) x N(N-1) unitary assembled entry by entry, and the continuous-time
-Hamiltonian as a full N x N matrix.  Feasible only for small N, which is
-the point: the package's structural O(N^2) updates must reproduce these.
-The 3x3 step is also written out here, for the reduced model's closed form
-to be checked against its plain matrix powers, in floats and in 50 digits.
+Nothing here imports barrierwalk; every operator and formula is rebuilt from
+its definition:
+
+- the walk step as an N(N-1) x N(N-1) unitary assembled entry by entry, and
+  the continuous-time Hamiltonian as a full N x N matrix.  Feasible only for
+  small N, which is the point: the package's structural O(N^2) updates must
+  reproduce these;
+- the full-space step one operator at a time (apply_oracle, apply_coin,
+  apply_lazy_shift), in the floating-point operations the package's fused
+  kernel must match bit for bit, at any N;
+- the 3x3 step, for the reduced model's closed form to be checked against
+  its plain matrix powers, in floats and in 50 digits, and the in-plane
+  states of the rotation analysis;
+- the tangent form of Hoyer's phase-matching defect and the runtime near
+  blocking, against which the package's formulas are checked.
 """
+
+import math
 
 import numpy as np
 
@@ -17,6 +27,54 @@ def pair_index(n, v, w):
     assert v != w
     c = w if w < v else w - 1
     return v * (n - 1) + c
+
+
+def _vertices(state):
+    # N for a flat state of length N(N-1).
+    arr = np.asarray(state, dtype=np.complex128)
+    n = round((1.0 + math.sqrt(1.0 + 4.0 * arr.size)) / 2.0)
+    assert arr.ndim == 1 and n >= 3 and n * (n - 1) == arr.size
+    return arr, n
+
+
+def apply_lazy_shift(state, phi):
+    """Barrier-afflicted flip-flop shift cos(phi)*S + i*sin(phi)*I."""
+    arr, n = _vertices(state)
+    # perm[index(v, ->w)] = index(w, ->v), built per call at full size.
+    v = np.repeat(np.arange(n), n - 1)
+    c = np.tile(np.arange(n - 1), n)
+    w = c + (c >= v)
+    perm = w * (n - 1) + (v - (v > w))
+    return math.cos(phi) * arr[perm] + (1j * math.sin(phi)) * arr
+
+
+def apply_coin(state, eta=0.0):
+    """Per-vertex diffusion coin (1 + exp(i*eta))|s_c><s_c| - I.
+
+    eta = 0 gives the standard Grover diffusion 2|s_c><s_c| - I.
+    """
+    arr, n = _vertices(state)
+    blocks = arr.reshape(n, n - 1)
+    mean = blocks.mean(axis=1, keepdims=True)
+    return ((1.0 + np.exp(1j * eta)) * mean - blocks).reshape(-1)
+
+
+def apply_oracle(state, marked, eta=0.0):
+    """Multiply the marked vertex's coin block by -exp(-i*eta).
+
+    eta = 0 is the plain sign flip at the marked vertex.
+    """
+    arr, n = _vertices(state)
+    if not 0 <= marked < n:
+        raise ValueError(f"marked vertex {marked} outside [0, {n})")
+    out = arr.copy()
+    out[marked * (n - 1) : (marked + 1) * (n - 1)] *= -np.exp(-1j * eta)
+    return out
+
+
+def apply_step(state, marked, phi, eta):
+    """Oracle, then coin, then lazy shift, one operator at a time."""
+    return apply_lazy_shift(apply_coin(apply_oracle(state, marked, eta), eta), phi)
 
 
 def dense_shift(n, phi):
@@ -108,6 +166,50 @@ def reduced_step(n, phi, eta):
     )
 
 
+def s_and_w_states(n):
+    """The coin-uniform unmarked state s and the target state w, as (ab, ba, bb).
+
+    Both are orthogonal to the (-1)-eigenvector of the coin/oracle matrix, so
+    they live in the plane where the corrected walk rotates.  Their overlap is
+    <s|w> = -1/sqrt(2(N-1)), whose magnitude is sin(theta) from the
+    phase-matching condition.
+    """
+    s = np.array(
+        [0.0, 1.0 / math.sqrt(n - 1.0), math.sqrt((n - 2.0) / (n - 1.0))],
+        dtype=np.complex128,
+    )
+    w = np.array([1.0, -1.0, 0.0], dtype=np.complex128) / math.sqrt(2.0)
+    return s, w
+
+
+def _perp_within_plane(anchor, other):
+    # Gram-Schmidt: unit vector orthogonal to anchor inside span{anchor, other},
+    # sign fixed so the bb component is positive.
+    vec = other - np.vdot(anchor, other) * anchor
+    vec = vec / np.linalg.norm(vec)
+    if vec[2].real < 0.0:
+        vec = -vec
+    return vec
+
+
+def w_perp_state(n):
+    """Unit vector orthogonal to w in the plane of s and w."""
+    s, w = s_and_w_states(n)
+    return _perp_within_plane(w, s)
+
+
+def s_perp_state(n):
+    """Unit vector orthogonal to s in the plane of s and w."""
+    s, w = s_and_w_states(n)
+    return _perp_within_plane(s, w)
+
+
+def reduced_initial_state(n):
+    """The uniform full-space state expressed in the (ab, ba, bb) basis."""
+    vec = np.array([1.0, 1.0, math.sqrt(n - 2.0)], dtype=np.complex128)
+    return vec / math.sqrt(n)
+
+
 def reduced_power_probs(n, phi, eta, steps):
     """Success probability after 0..steps steps, one 3x3 product per step."""
     u = reduced_step(n, phi, eta)
@@ -154,6 +256,26 @@ def reduced_probs_50_digits(n, phi, eta, steps):
             done = t
             probs.append(float(abs(state[0]) ** 2))
     return np.array(probs)
+
+
+def hoyer_residual(phi, eta, theta):
+    """Phase-matching defect tan(-phi) - tan(eta/2) * (1 - 2*sin(theta)^2).
+
+    Zero exactly when (phi, eta) satisfy the matching condition for a search
+    with overlap angle theta; the sign and size of a nonzero value indicate
+    how far off a candidate eta is.  Singular at |phi| = pi/2, |eta| = pi.
+    """
+    return math.tan(-phi) - math.tan(eta / 2.0) * (1.0 - 2.0 * math.sin(theta) ** 2)
+
+
+def blocking_regime_runtime(delta, n):
+    """Runtime blowup pi*sqrt(N) / (2*sqrt(2)*delta) near total blocking.
+
+    delta = pi/2 - phi measures the distance from the blocking point; the
+    corrected walk still works there but slows down as 1/delta.  Valid for
+    small delta > 0.
+    """
+    return math.pi * math.sqrt(n) / (2.0 * math.sqrt(2.0) * delta)
 
 
 def runtimes_60_digits(phi, n):

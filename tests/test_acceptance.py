@@ -14,19 +14,11 @@ import pytest
 
 from barrierwalk.ctqw import CtqwParams, ctqw_runtime, ctqw_success_curve
 from barrierwalk.experiments import run_sweep, run_verification
-from barrierwalk.phases import (
-    corrected_eta,
-    hoyer_residual,
-    overlap_angle,
-    rotation_angle_sigma,
-)
-from barrierwalk.reduced import (
-    build_reduced_operators,
-    evolve_reduced,
-    reduced_initial_state,
-    s_and_w_states,
-)
+from barrierwalk.phases import corrected_eta, overlap_angle, rotation_angle_sigma
+from barrierwalk.reduced import build_reduced_operators, evolve_reduced
 from barrierwalk.walk import WalkParams, evolve
+
+from oracles import hoyer_residual, reduced_initial_state, s_and_w_states
 
 PHI_08 = math.asin(0.8)
 

@@ -449,6 +449,26 @@ def test_cli_unallocatable_size_is_exit_2(argv, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan"],
+        ["simulate", "--mode", "dtqw-reduced"],
+        ["sweep", "--beta", "0"],
+        ["ctqw"],
+        ["verify"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_absurd_n_is_exit_2(argv, capsys):
+    # 10^400 does not convert to a float; N past 10^300 is refused up front
+    # rather than ending in an OverflowError with exit code 1.
+    assert main([*argv, "--n", str(10**400)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need at most 10^300 vertices, got a 401-digit N\n"
+
+
 @pytest.mark.parametrize("flag", ["--gamma", "--t-max"])
 def test_cli_ctqw_rejects_non_finite(flag, capsys):
     assert main(["ctqw", "--n", "8", flag, "inf"]) == 2

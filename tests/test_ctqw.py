@@ -48,6 +48,14 @@ def test_params_validation():
     assert CtqwParams(8, gamma=0.03).rate == 0.03
 
 
+def test_params_share_the_vertex_ceiling():
+    assert CtqwParams(10**300).rate == 1e-300
+    with pytest.raises(ValueError, match="at most 10\\^300 vertices"):
+        CtqwParams(10**300 + 1)
+    with pytest.raises(ValueError, match="at most 10\\^300 vertices"):
+        ctqw_runtime(10**400)
+
+
 def test_params_reject_non_finite_gamma():
     with pytest.raises(ValueError, match="gamma must be finite"):
         CtqwParams(8, gamma=math.inf)

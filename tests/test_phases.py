@@ -11,17 +11,17 @@ from barrierwalk.experiments import phi_from_beta, run_sweep
 from barrierwalk.phases import (
     BlockedRegimeError,
     _scaled_hoyer_residual,
-    blocking_regime_runtime,
     build_phase_plan,
     corrected_eta,
-    hoyer_residual,
     overlap_angle,
     rotation_angle_sigma,
     runtime_large_n,
     runtime_t_star,
     runtime_t_star_exact,
 )
-from oracles import runtimes_60_digits
+from barrierwalk.reduced import evolve_reduced
+
+from oracles import blocking_regime_runtime, hoyer_residual, runtimes_60_digits
 
 PHI_08 = math.asin(0.8)
 
@@ -83,7 +83,7 @@ def test_hoyer_residual_negative_control():
 
 
 def test_scaled_hoyer_residual_stays_small_near_blocking():
-    # verify's form of the defect: hoyer_residual times cos(phi) cos(eta/2).
+    # verify's form of the defect: the tangent form times cos(phi) cos(eta/2).
     # The unscaled defect at phi = 1.5707 rounds to about 1e-8; the scaled
     # one keeps every term at most 1 in size.
     for phi in (0.3, 1.0, 1.5707, math.pi / 2 - 1e-9):
@@ -98,13 +98,18 @@ def test_scaled_hoyer_residual_stays_small_near_blocking():
     assert _scaled_hoyer_residual(0.3, 0.0, theta) == pytest.approx(-math.sin(0.3), rel=1e-15)
 
 
-def test_hoyer_residual_singularities():
-    with pytest.raises(BlockedRegimeError):
-        hoyer_residual(math.pi / 2, 0.0, 0.1)
-    with pytest.raises(BlockedRegimeError):
-        hoyer_residual(0.3, math.pi, 0.1)
-    with pytest.raises(ValueError):
-        hoyer_residual(math.nan, 0.0, 0.1)
+def test_vertex_count_ceiling():
+    # 10^300 is the largest N accepted; its plan is finite throughout.
+    plan = build_phase_plan(10**300, 0.3)
+    assert plan.eta == -0.6
+    assert 0.0 < plan.sigma and math.isfinite(plan.t_star_exact)
+    for call in (
+        lambda: build_phase_plan(10**300 + 1, 0.3),
+        lambda: corrected_eta(0.3, 10**400),
+        lambda: evolve_reduced(10**300 + 1, 0.3, -0.6, 1),
+    ):
+        with pytest.raises(ValueError, match="at most 10\\^300 vertices"):
+            call()
 
 
 def test_sigma_zero_barrier():
@@ -178,10 +183,6 @@ def test_blocking_regime_runtime():
     assert blocking_regime_runtime(math.pi / 2, 1024) == pytest.approx(
         math.pi * 32.0 / (2.0 * math.sqrt(2.0) * (math.pi / 2.0)), rel=1e-15
     )
-    with pytest.raises(ValueError):
-        blocking_regime_runtime(0.0, 1024)
-    with pytest.raises(ValueError):
-        blocking_regime_runtime(2.0, 1024)
 
 
 def test_blocking_regime_consistency_with_exact_runtime():

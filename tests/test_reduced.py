@@ -15,11 +15,7 @@ from barrierwalk.reduced import (
     evolve_reduced,
     project,
     psi_minus_one,
-    reduced_initial_state,
-    s_and_w_states,
-    s_perp_state,
     symmetry_classes,
-    w_perp_state,
 )
 from barrierwalk.walk import WalkParams, evolve, initial_state, success_probability
 
@@ -29,8 +25,12 @@ from oracles import (
     project_to_reduced,
     random_state,
     reduced_power_probs,
+    reduced_initial_state,
     reduced_probs_50_digits,
     reduced_step,
+    s_and_w_states,
+    s_perp_state,
+    w_perp_state,
 )
 
 

@@ -14,9 +14,6 @@ from barrierwalk import walk
 from barrierwalk.phases import corrected_eta
 from barrierwalk.walk import (
     WalkParams,
-    apply_coin,
-    apply_lazy_shift,
-    apply_oracle,
     evolve,
     initial_state,
     step,
@@ -25,6 +22,10 @@ from barrierwalk.walk import (
 )
 
 from oracles import (
+    apply_coin,
+    apply_lazy_shift,
+    apply_oracle,
+    apply_step,
     dense_coin,
     dense_oracle,
     dense_shift,
@@ -209,8 +210,7 @@ def test_step_is_the_apply_composition_and_unitary(
         walk, "_THREADS", threads
     ):
         out = step(state, params)
-    reference = apply_lazy_shift(apply_coin(apply_oracle(state, marked, eta), eta), phi)
-    assert np.array_equal(out, reference)
+    assert np.array_equal(out, apply_step(state, marked, phi, eta))
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-13
     assert np.array_equal(state, before)
 
@@ -228,10 +228,7 @@ def test_one_vertex_last_tile_row_is_the_apply_composition(monkeypatch, tile, th
         for marked in range(n):
             for phi, eta in ((0.0, 2.0), (0.3, corrected_eta(0.3, n))):
                 params = WalkParams(n, phi=phi, eta=eta, marked=marked)
-                reference = apply_lazy_shift(
-                    apply_coin(apply_oracle(state, marked, eta), eta), phi
-                )
-                assert np.array_equal(step(state, params), reference)
+                assert np.array_equal(step(state, params), apply_step(state, marked, phi, eta))
 
 
 def _nan_empty(real_empty):
@@ -262,17 +259,15 @@ def test_short_last_tile_row_is_the_apply_composition(monkeypatch, n, threads):
     eta = corrected_eta(phi, n)
     params = WalkParams(n, phi=phi, eta=eta, marked=n - 1)
 
-    def reference(state):
-        return apply_lazy_shift(apply_coin(apply_oracle(state, n - 1, eta), eta), phi)
-
     state = random_state(n * (n - 1), seed=n)
     assert np.array_equal(
-        step(state, params).view(np.uint64), reference(state).view(np.uint64)
+        step(state, params).view(np.uint64),
+        apply_step(state, n - 1, phi, eta).view(np.uint64),
     )
     state = initial_state(params)
     probs = [success_probability(state, n - 1)]
     for _ in range(3):
-        state = reference(state)
+        state = apply_step(state, n - 1, phi, eta)
         probs.append(success_probability(state, n - 1))
     assert np.array_equal(evolve(params, 3).view(np.uint64), np.array(probs).view(np.uint64))
     assert evolve(params, 0).tolist() == probs[:1]
@@ -301,24 +296,25 @@ def test_split_step_threads_end_with_the_call(monkeypatch):
         out = step(state, params)
         assert threading.active_count() == before
         assert pools == expected
-        reference = apply_lazy_shift(
-            apply_coin(apply_oracle(state, params.marked, params.eta), params.eta), 0.3
-        )
-        assert np.array_equal(out, reference)
+        assert np.array_equal(out, apply_step(state, params.marked, 0.3, params.eta))
 
 
-def test_reference_shift_keeps_no_index_alive():
-    # apply_lazy_shift builds its N(N-1) index per call; nothing of that
-    # size may stay alive after it returns (at N = 4096 it is 134 MB).
-    n = 600  # no other test shifts at this N
+def test_step_and_evolve_keep_no_index_alive():
+    # The kernel caches the flip-flop permutation of its diagonal tiles only;
+    # nothing the size of the state's N(N-1) index may stay alive after a
+    # step or evolve call returns (at N = 4096 it is 134 MB).
+    n = 600  # no other test steps at this N, and its last tile is short
+    params = WalkParams(n, phi=0.3, eta=corrected_eta(0.3, n), marked=n - 1)
     state = random_state(n * (n - 1), seed=5)
-    tracemalloc.start()
-    try:
-        out = apply_lazy_shift(state, 0.3)
-        kept = tracemalloc.get_traced_memory()[0] - out.nbytes
-    finally:
-        tracemalloc.stop()
-    assert kept < 8 * n * (n - 1) / 4
+    walk._tile_permutation.cache_clear()
+    for call in (lambda: step(state, params), lambda: evolve(params, 2)):
+        tracemalloc.start()
+        try:
+            out = call()
+            kept = tracemalloc.get_traced_memory()[0] - out.nbytes
+        finally:
+            tracemalloc.stop()
+        assert kept < 8 * n * (n - 1) / 4
 
 
 def _traced_peak(fn) -> int:
