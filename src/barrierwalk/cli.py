@@ -197,7 +197,7 @@ _SWEEP = (
     _Option("max_full_n", int, DEFAULT_MAX_FULL_N,
             "N above this runs the reduced model (noted in the mode column)"),
     _Option("workers", int, 1,
-            "grid points run at once, on threads of this process (default 1)"),
+            "no effect: grid points run one at a time (must be >= 1)"),
     _OUT,
 )
 

@@ -18,7 +18,6 @@ and write_curve_csv treat both alike.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
@@ -42,7 +41,6 @@ from .reduced import (
 )
 from .walk import (
     WalkParams,
-    _THREADS,
     _norm,
     evolve,
     initial_state,
@@ -327,13 +325,9 @@ def run_sweep(
 ) -> list[SweepRow]:
     """Run the (N, beta) grid, N-major, one row per point, in this process.
 
-    workers > 1 runs that many grid points at once on threads, at most one
-    per point and per usable CPU, since each holds its own state; rows come
-    in grid order either way.  Each full-space point
-    still spreads its steps over every usable CPU.  Points at once trade
-    speed for a steadier time where one state fits the last-level cache:
-    alone, an N = 1024 state (16 MB) ran up to 2x faster or slower with what
-    other tenants did to a shared 32 MB cache; two at once fill it themselves.
+    Every point is checked before any runs.  Points run one at a time; each
+    full-space point spreads its steps over every usable CPU, and a reduced
+    point takes milliseconds.  workers must be >= 1 and has no other effect.
     """
     if not n_values or not beta_values:
         raise ValueError("sweep needs at least one N and one beta")
@@ -344,11 +338,7 @@ def run_sweep(
         for n in n_values
         for beta in beta_values
     ]
-    workers = min(workers, len(grid), _THREADS)
-    if workers == 1:
-        return [_sweep_point(spec) for spec in grid]
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(_sweep_point, grid))
+    return [_sweep_point(spec) for spec in grid]
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], out: TextIO) -> None:

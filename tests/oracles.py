@@ -307,6 +307,27 @@ def dense_ctqw_probs(n, epsilon, gamma, times, marked=0):
     return np.abs(phases @ (evecs[marked] * coeff)) ** 2
 
 
+def ctqw_probs_mpmath(n, epsilon, gamma, times):
+    """Marked-vertex probability from exp(-iHt) of the 2x2 compressed H.
+
+    H is taken in the basis {|m>, |u>}, |u> uniform over the unmarked
+    vertices, and exponentiated in log10(sqrt N) + 30 digits, enough for
+    the phase t ~ sqrt(N).  gamma None is the corrected rate, whose hop rate
+    gamma * (1 - epsilon) is exactly 1/N; otherwise gamma, epsilon and the
+    times are taken exactly as the floats given.  Needs mpmath.
+    """
+    import mpmath as mp
+
+    with mp.workdps(int(math.log10(n) / 2) + 30):
+        hop = mp.mpf(1) / n if gamma is None else mp.mpf(gamma) * (1 - mp.mpf(epsilon))
+        root = mp.sqrt(n - 1)
+        h = mp.matrix([[-1, -hop * root], [-hop * root, -hop * (n - 2)]])
+        start = mp.matrix([1, root]) / mp.sqrt(n)
+        return np.array(
+            [float(abs((mp.expm(-1j * mp.mpf(t) * h) * start)[0]) ** 2) for t in times]
+        )
+
+
 def random_state(dim, seed):
     rng = np.random.default_rng(seed)
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from barrierwalk import experiments
 from barrierwalk.cli import main
 from barrierwalk.ctqw import corrected_gamma, ctqw_runtime, ctqw_success_curve
 from barrierwalk.experiments import (
@@ -125,10 +125,18 @@ def test_ctqw_spec_hands_its_rate_to_ctqw_params(
     assert spec.params().rate == expected
     if corrected:
         assert spec.predicted_peak() == ctqw_runtime(n)
-    result = run_experiment(spec)
     grid_end = 1.5 * ctqw_runtime(n) if t_max is None else t_max
-    assert np.array_equal(result.x, np.linspace(0.0, grid_end, samples))
-    curve = ctqw_success_curve(spec.params(), result.x)
+    times = np.linspace(0.0, grid_end, samples)
+    try:
+        curve = ctqw_success_curve(spec.params(), times)
+    except ValueError as exc:
+        # a phase w*t past 2^32 rad (a large gamma * N) is refused, and the
+        # spec's run refuses it the same way
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            run_experiment(spec)
+        return
+    result = run_experiment(spec)
+    assert np.array_equal(result.x, times)
     assert np.array_equal(result.probabilities, curve)
 
 
@@ -243,7 +251,7 @@ def test_sweep_blocked_point_has_no_prediction():
 
 
 def test_sweep_workers_deterministic():
-    # N = 512 also splits each step over threads; more workers than points.
+    # workers has no effect: N = 512 splits each step over threads either way.
     grid = ([16, 512, 10**6], [0.0, 0.5])
     serial = run_sweep(*grid, corrected=True, steps=25, max_full_n=512, workers=1)
     parallel = run_sweep(*grid, corrected=True, steps=25, max_full_n=512, workers=8)
@@ -253,37 +261,6 @@ def test_sweep_workers_deterministic():
         run_sweep([], [0.0], corrected=False)
     with pytest.raises(ValueError):
         run_sweep([8], [0.0], corrected=False, workers=0)
-
-
-def test_sweep_workers_clamped_to_grid_and_cpus(monkeypatch):
-    # A recording stand-in for the pool: the clamp is checked without ever
-    # starting a thread, whatever count run_sweep asks for.
-    seen = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(experiments, "_THREADS", 3)
-    run_sweep([8], [0.0], corrected=False, steps=3, workers=100_000)
-    assert seen == []  # one grid point runs in the calling thread
-    run_sweep([8, 16], [0.0, 0.5], corrected=False, steps=3, workers=100_000)
-    assert seen == [3]  # four points, three CPUs
-    run_sweep([8], [0.0, 0.5], corrected=False, steps=3, workers=100_000)
-    assert seen == [3, 2]  # two points
-    monkeypatch.setattr(experiments, "_THREADS", 1)
-    run_sweep([8, 16], [0.0, 0.5], corrected=False, steps=3, workers=4)
-    assert seen == [3, 2]  # one usable CPU: no pool
 
 
 def test_run_verification_names_and_negative_control():
@@ -475,6 +452,34 @@ def test_cli_ctqw_rejects_non_finite(flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "3", "--t-max", "1e308"],
+        ["--n", "1000000", "--gamma", "1e300"],
+        ["--n", "10000000000", "--gamma", "1e300"],
+    ],
+    ids=["t-max", "gamma", "gamma-times-n"],
+)
+def test_cli_ctqw_refuses_an_absurd_phase(argv, capsys):
+    # A phase w*t past 2^32 rad has no meaningful digits; the first two once
+    # printed a curve and NaN rows with exit 0.
+    assert main(["ctqw", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_cli_ctqw_peaks_at_large_n(capsys):
+    # A 2x2 eigensolver printed a flat 1e-32 here, with exit 0.
+    assert main(["ctqw", "--n", str(10**32), "--epsilon", "0.3", "--corrected"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    probs = [float(row.split(",")[1]) for row in rows]
+    assert probs[0] == 1e-32
+    assert max(probs) >= 0.99
 
 
 def test_cli_plan(capsys):
