@@ -155,7 +155,6 @@ def _emit_curve(result, out_path: str | None) -> None:
 # One row per option, in --help order: name, parse, default, help.
 _N = _Option("n", int, None, "number of vertices (N >= 3)", required=True)
 _BETA = _Option("beta", float, 0.0, "barrier strength |beta| in [0, 1] (default 0)")
-_MARKED = _Option("marked", int, 0, "marked vertex index (default 0)")
 _OUT = _Option("out", str, None, "CSV path (default: standard output)")
 _CONFIG = _Option("config", str, None, "key = value config file")
 
@@ -167,7 +166,7 @@ _SIMULATE = (
     _Option("mode", str, "dtqw-full",
             "statevector engine or exact 3x3 reduced model (default dtqw-full)",
             choices=("dtqw-full", "dtqw-reduced")),
-    _MARKED,
+    _Option("marked", int, 0, "marked vertex index (default 0)"),
     _Option("max_full_n", int, DEFAULT_MAX_FULL_N,
             f"cap on full-space N (default {DEFAULT_MAX_FULL_N})"),
     _OUT,
@@ -203,7 +202,9 @@ _SWEEP = (
 
 
 def _cmd_sweep(o: argparse.Namespace) -> int:
-    rows = run_sweep(o.n, o.beta, o.corrected, o.steps, o.max_full_n, o.workers)
+    if o.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {o.workers}")
+    rows = run_sweep(o.n, o.beta, o.corrected, o.steps, o.max_full_n)
     if o.out is None:
         write_sweep_csv(rows, sys.stdout)
     else:
@@ -252,13 +253,12 @@ _CTQW = (
     _Option("t_max", float, None,
             "evolution-time horizon (default 1.5x the predicted peak time)"),
     _Option("samples", int, 401, "number of time samples (default 401)"),
-    _MARKED,
     _OUT,
 )
 
 
 def _cmd_ctqw(o: argparse.Namespace) -> int:
-    spec = CtqwSpec(o.n, o.epsilon, o.gamma, o.corrected, o.t_max, o.samples, o.marked)
+    spec = CtqwSpec(o.n, o.epsilon, o.gamma, o.corrected, o.t_max, o.samples)
     _emit_curve(run_experiment(spec), o.out)
     return EXIT_OK
 

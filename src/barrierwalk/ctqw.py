@@ -10,8 +10,8 @@ evolution time, and the peak stays at t = pi * sqrt(N) / 2.  This is the
 continuous-time counterpart of the discrete walk's phase correction, with
 the notable difference that here the fix is exact rather than asymptotic.
 
-By vertex-transitivity the walk from the uniform state stays in span{|m>, |u>},
-|u> uniform over the unmarked vertices, where H = -c I - K with K^2 = w^2 I.
+By vertex-transitivity the walk from the uniform state stays in span{|m>, |u>}
+for any marked m, |u> uniform over the rest, where H = -c I - K, K^2 = w^2 I.
 With hop rate g = gamma (1 - epsilon), Delta = (1 - g (N-2)) / 2 and
 w = hypot(Delta, g sqrt(N-1)), the global phase drops out and
 
@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .phases import _check_marked, _check_n as _check_vertices
+from .phases import _check_n as _check_vertices
 
 __all__ = [
     "CtqwParams",
@@ -71,7 +71,6 @@ class CtqwParams:
     n_vertices: int
     epsilon: float = 0.0
     gamma: float | None = None
-    marked: int = 0
 
     def __post_init__(self) -> None:
         _check_n(self.n_vertices)
@@ -80,7 +79,6 @@ class CtqwParams:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.gamma is not None and not math.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma}")
-        _check_marked(self.marked, self.n_vertices)
 
     @property
     def rate(self) -> float:

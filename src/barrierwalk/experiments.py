@@ -18,7 +18,9 @@ and write_curve_csv treat both alike.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -34,10 +36,10 @@ from .phases import (
 )
 from .reduced import (
     build_reduced_operators,
+    embed,
     evolve_reduced,
     project,
     psi_minus_one,
-    symmetry_classes,
 )
 from .walk import (
     WalkParams,
@@ -77,6 +79,11 @@ VERIFY_DEFAULT_NS = (4, 16, 64)
 VERIFY_DEFAULT_PHIS = (0.0, 0.3, math.asin(0.8))
 
 _FLOAT_FMT = ".12g"
+_CSV_CHUNK = 1 << 14  # curve rows per write, so the writer's memory stays fixed
+
+# Peak bytes per curve row, measured with tracemalloc: 16 for a discrete walk
+# and 32 for ctqw.  The CSV writer adds a fixed _CSV_CHUNK rows' worth.
+_ROW_BYTES = 32
 
 
 def phi_from_beta(beta: float) -> float:
@@ -84,6 +91,14 @@ def phi_from_beta(beta: float) -> float:
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
     return math.asin(beta) + 0.0
+
+
+def _check_memory(rows: int, state_bytes: int, n: int, knob: str) -> None:
+    # Refuse a run whose arrays cannot fit in physical memory before any is
+    # allocated; cgroup limits are not read.
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if rows * _ROW_BYTES + state_bytes > have:
+        raise ValueError(f"N = {n} with {knob} needs more than {have >> 20} MiB of RAM")
 
 
 def engine_for(n_vertices: int, max_full_n: int) -> str:
@@ -98,6 +113,7 @@ class WalkSpec:
     mode selects the engine: dtqw-full (statevector) or dtqw-reduced (3x3
     model, same numbers to 1e-10).  corrected applies the phase-matched eta.
     Unset steps picks a window wide enough to contain the first success peak.
+    A run that cannot fit in physical memory is refused here.
     """
 
     # Wording of the CSV header and summary line.  x_format is a %-format:
@@ -119,13 +135,15 @@ class WalkSpec:
             raise ValueError(
                 f"mode must be dtqw-full or dtqw-reduced, got {self.mode!r}"
             )
-        if self.steps is not None:
-            _check_steps(self.steps)
         if self.corrected and self.beta == 1.0:
             raise BlockedRegimeError(
                 "beta = 1 blocks every hop; the corrected walk does not exist"
             )
         self.params()  # WalkParams checks N, beta (as phi) and marked
+        n, steps = self.n_vertices, self.resolved_steps()
+        _check_steps(steps)
+        state_bytes = 16 * n * (n - 1) if self.mode == "dtqw-full" else 0
+        _check_memory(steps + 1, state_bytes, n, f"--steps {steps}")
 
     @property
     def phi(self) -> float:
@@ -179,7 +197,7 @@ class CtqwSpec:
 
     corrected uses the rate 1/(N(1-epsilon)) that undoes the attenuation;
     otherwise gamma is the rate, 1/N when unset.  Unset t_max picks a window
-    that contains the first success peak.
+    that contains the first success peak.  Too many samples are refused here.
     """
 
     x_name = "time"
@@ -193,11 +211,10 @@ class CtqwSpec:
     corrected: bool = False
     t_max: float | None = None
     samples: int = 401
-    marked: int = 0
 
     def __post_init__(self) -> None:
-        # CtqwParams checks N, epsilon, gamma and marked
-        CtqwParams(self.n_vertices, self.epsilon, self.gamma, self.marked)
+        # CtqwParams checks N, epsilon and gamma
+        CtqwParams(self.n_vertices, self.epsilon, self.gamma)
         if self.corrected and self.gamma is not None:
             raise ValueError("corrected ctqw chooses gamma itself; drop gamma")
         if self.samples < 2:
@@ -206,11 +223,12 @@ class CtqwSpec:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
         if self.t_max is not None and not math.isfinite(self.t_max):
             raise ValueError(f"t_max must be finite, got {self.t_max}")
+        _check_memory(self.samples, 0, self.n_vertices, f"--samples {self.samples}")
 
     def params(self) -> CtqwParams:
         """Rate for CtqwParams: None (it corrects) if corrected, else gamma or 1/N."""
         gamma = None if self.corrected else self.gamma or 1.0 / self.n_vertices
-        return CtqwParams(self.n_vertices, self.epsilon, gamma, self.marked)
+        return CtqwParams(self.n_vertices, self.epsilon, gamma)
 
     def predicted_peak(self) -> float | None:
         """pi*sqrt(N)/2 when the rate cancels the attenuation; else None."""
@@ -276,8 +294,10 @@ def write_curve_csv(result: ExperimentResult, out: TextIO) -> None:
     """Emit the curve; identical specs must produce identical bytes."""
     out.write(f"{result.spec.x_name},probability\n")
     row = f"{result.spec.x_format},%{_FLOAT_FMT}\n"
-    for pair in zip(result.x.tolist(), result.probabilities.tolist()):
-        out.write(row % pair)
+    for i in range(0, len(result.x), _CSV_CHUNK):
+        x = result.x[i : i + _CSV_CHUNK].tolist()
+        p = result.probabilities[i : i + _CSV_CHUNK].tolist()
+        out.write(row * len(x) % tuple(chain.from_iterable(zip(x, p))))
 
 
 @dataclass(frozen=True)
@@ -321,18 +341,15 @@ def run_sweep(
     corrected: bool,
     steps: int | None = None,
     max_full_n: int = DEFAULT_MAX_FULL_N,
-    workers: int = 1,
 ) -> list[SweepRow]:
     """Run the (N, beta) grid, N-major, one row per point, in this process.
 
     Every point is checked before any runs.  Points run one at a time; each
     full-space point spreads its steps over every usable CPU, and a reduced
-    point takes milliseconds.  workers must be >= 1 and has no other effect.
+    point takes milliseconds.
     """
     if not n_values or not beta_values:
         raise ValueError("sweep needs at least one N and one beta")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     grid = [
         WalkSpec(n, beta, corrected, steps, mode=engine_for(n, max_full_n))
         for n in n_values
@@ -362,9 +379,9 @@ _CHECK_TOLERANCES = {
     "psi-minus-one-eigenvector": 1e-12,
     # matching defect at the eta in use, times cos(phi) cos(eta/2)
     "hoyer-residual": 1e-12,
-    # amplitude spread inside ab/ba/bb classes
+    # max |x - embed(project(x))|: the largest deviation from a class mean
     "symmetry-classes": 1e-10,
-    # full-state component outside the subspace
+    # |x - embed(project(x))|: the full-state component outside the subspace
     "projection-residual": 1e-10,
     # per-step success-probability difference
     "full-vs-reduced": 1e-10,
@@ -436,18 +453,18 @@ def _trajectory_deviations(
 ) -> None:
     # One full-space trajectory, checked step by step against everything the
     # 3D reduction promises: class-wise equal amplitudes, no leakage out of
-    # the subspace, matching success probabilities, unit norm.
+    # the subspace (both read off x - embed(project(x))), matching success
+    # probabilities, unit norm.
     params = WalkParams(n_vertices=n, phi=phi, eta=eta)
     reduced_probs = evolve_reduced(n, phi, eta, steps)
     state = initial_state(params)
     for t in range(steps + 1):
         if t > 0:
             state = step(state, params)
-        classes = symmetry_classes(state, params.marked)
-        for block in classes:
-            _note(worst, "symmetry-classes", float(np.abs(block - block.mean()).max()))
-        _note(worst, "projection-residual",
-              project(state, n, params.marked, classes=classes)[1])
+        reduced, residual = project(state, n, params.marked)
+        _note(worst, "symmetry-classes",
+              float(np.abs(state - embed(reduced, n, params.marked)).max()))
+        _note(worst, "projection-residual", residual)
         _note(worst, "full-vs-reduced",
               abs(success_probability(state, params.marked) - reduced_probs[t]))
         _note(worst, "norm-conservation", abs(_norm(state) - 1.0))

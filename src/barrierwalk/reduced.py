@@ -136,7 +136,7 @@ def embed(
 
 
 def project(
-    full: np.ndarray, n_vertices: int, marked: int = 0, *, classes: tuple | None = None
+    full: np.ndarray, n_vertices: int, marked: int = 0
 ) -> tuple[np.ndarray, float]:
     """Adjoint of embed, plus the norm of what the subspace misses.
 
@@ -145,17 +145,13 @@ def project(
     full - embed(reduced).  The residual is computed from that difference
     vector directly; the algebraically equal sqrt(|full|^2 - |reduced|^2)
     would turn rounding noise into sqrt(eps)-sized garbage near zero.
-    A caller that already holds symmetry_classes(full, marked) passes them
-    as classes, and they are not taken again.
     """
     arr = np.asarray(full, dtype=np.complex128)
     dim = n_vertices * (n_vertices - 1)
     if arr.shape != (dim,):
         raise ValueError(f"full state must have shape ({dim},), got {arr.shape}")
-    if classes is None:
-        classes = symmetry_classes(arr, marked)
     reduced = np.array(
-        [block.sum() / math.sqrt(block.size) for block in classes],
+        [b.sum() / math.sqrt(b.size) for b in symmetry_classes(arr, marked)],
         dtype=np.complex128,
     )
     gap = embed(reduced, n_vertices, marked)

@@ -2,15 +2,18 @@
 
 import io
 import math
+import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from barrierwalk import experiments
 from barrierwalk.cli import main
 from barrierwalk.ctqw import corrected_gamma, ctqw_runtime, ctqw_success_curve
 from barrierwalk.experiments import (
@@ -146,9 +149,10 @@ def test_ctqw_spec_hands_its_rate_to_ctqw_params(
     beta=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
     corrected=st.booleans(),
 )
+@example(n=10**12, beta=0.999999, corrected=True)  # a 1e9-step window
 def test_walk_spec_reads_its_phase_plan(n, beta, corrected):
     assume(not (corrected and beta == 1.0))
-    spec = WalkSpec(n, beta, corrected, mode="dtqw-reduced")
+    spec = WalkSpec(n, beta, corrected, steps=0, mode="dtqw-reduced")
     phi = phi_from_beta(beta)
     assert spec.plan == build_phase_plan(n, phi)
     assert spec.eta == (corrected_eta(phi, n) if corrected else 0.0)
@@ -156,7 +160,13 @@ def test_walk_spec_reads_its_phase_plan(n, beta, corrected):
         window = math.ceil(1.35 * runtime_t_star_exact(phi, n))
     else:
         window = math.ceil(2.8 * runtime_t_star_exact(0.0, n))
-    assert spec.resolved_steps() == window
+    # near beta = 1 the default window can outgrow physical memory
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if (window + 1) * experiments._ROW_BYTES > memory:
+        with pytest.raises(ValueError, match=f"N = {n} with --steps {window} needs"):
+            WalkSpec(n, beta, corrected, mode="dtqw-reduced")
+    else:
+        assert WalkSpec(n, beta, corrected, mode="dtqw-reduced").resolved_steps() == window
     if corrected or beta == 0.0:
         assert spec.predicted_peak() == float(runtime_t_star(phi, n))
     else:
@@ -250,17 +260,93 @@ def test_sweep_blocked_point_has_no_prediction():
     assert ",," in line  # empty prediction column
 
 
-def test_sweep_workers_deterministic():
-    # workers has no effect: N = 512 splits each step over threads either way.
-    grid = ([16, 512, 10**6], [0.0, 0.5])
-    serial = run_sweep(*grid, corrected=True, steps=25, max_full_n=512, workers=1)
-    parallel = run_sweep(*grid, corrected=True, steps=25, max_full_n=512, workers=8)
-    assert serial == parallel
-    assert [row.mode for row in serial][-2:] == ["dtqw-reduced"] * 2
+def test_sweep_checks_its_grid_and_workers(capsys):
+    rows = run_sweep([16, 10**6], [0.0, 0.5], corrected=True, steps=25, max_full_n=512)
+    assert [row.mode for row in rows] == ["dtqw-full"] * 2 + ["dtqw-reduced"] * 2
     with pytest.raises(ValueError):
         run_sweep([], [0.0], corrected=False)
-    with pytest.raises(ValueError):
-        run_sweep([8], [0.0], corrected=False, workers=0)
+    # --workers changes no result, but it is still checked
+    assert main(["sweep", "--n", "8", "--beta", "0", "--workers", "0"]) == 2
+    assert "workers must be >= 1, got 0" in capsys.readouterr().err
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda rows: WalkSpec(10**12, 0.8, True, rows - 1, mode="dtqw-reduced"),
+     lambda rows: CtqwSpec(10**12, 0.3, corrected=True, samples=rows)],
+    ids=["reduced", "ctqw"],
+)
+def test_curve_peak_memory_per_row_is_the_refusal_bound(make):
+    # The growth of the peak from R to 2R rows is the per-row cost, free of
+    # fixed costs such as chunk temporaries; the refusal in WalkSpec and
+    # CtqwSpec charges _ROW_BYTES a row (16 and 32 B measured).  The 1 KiB
+    # allows for small objects that one of the two runs allocates and the
+    # other does not.
+    rows = 200_000
+    small = _peak_bytes(lambda: run_experiment(make(rows)))
+    large = _peak_bytes(lambda: run_experiment(make(2 * rows)))
+    assert large - small <= experiments._ROW_BYTES * rows + 1024
+
+
+def test_curve_csv_is_written_in_chunks_of_fixed_memory(monkeypatch):
+    monkeypatch.setattr(experiments, "_CSV_CHUNK", 1024)
+    spec = WalkSpec(10**6, 0.8, True, 16 * 1024 + 4, mode="dtqw-reduced")
+    result = run_experiment(spec)
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        peak = _peak_bytes(lambda: write_curve_csv(result, sink))
+    # A chunk's lists, tuple and text take well under 200 B a row; the whole
+    # curve as two lists would take about 68 B a row, 1.1 MB here.
+    assert peak < 200 * 1024
+    buf = io.StringIO()
+    write_curve_csv(result, buf)
+    rows = zip(result.x.tolist(), result.probabilities.tolist())
+    assert buf.getvalue() == "step,probability\n" + "".join(
+        f"{x},{p:.12g}\n" for x, p in rows
+    )
+
+
+@pytest.mark.parametrize("n", [10**60, 10**200])
+def test_specs_refuse_curves_larger_than_memory(n, capsys):
+    # The default window at such N is 10^30 or 10^100 steps.
+    with pytest.raises(ValueError, match=f"N = {n} with --steps [0-9]+ needs more than"):
+        WalkSpec(n, 0.8, True, mode="dtqw-reduced")
+    argv = ["simulate", "--mode", "dtqw-reduced", "--n", str(n), "--beta", "0.8",
+            "--corrected"]
+    assert main(argv) == 2
+    assert "MiB of RAM" in capsys.readouterr().err
+    with pytest.raises(ValueError, match=f"N = {n} with --samples {10**30} needs"):
+        CtqwSpec(n, samples=10**30)
+
+
+def test_specs_refuse_by_the_host_memory(monkeypatch):
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}  # 1 MiB
+    monkeypatch.setattr(experiments.os, "sysconf", pages.__getitem__)
+    row = experiments._ROW_BYTES
+    WalkSpec(16, steps=2**20 // row - 1, mode="dtqw-reduced")
+    with pytest.raises(ValueError, match="N = 16 with --steps 32768 needs more than 1 MiB"):
+        WalkSpec(16, steps=2**20 // row, mode="dtqw-reduced")
+    # a full-space walk also holds its 16 N(N-1)-byte state
+    with pytest.raises(ValueError, match="N = 257 with --steps 0"):
+        WalkSpec(257, steps=0)
+    WalkSpec(256, steps=0)
+    CtqwSpec(16, samples=2**20 // row)
+    with pytest.raises(ValueError, match="N = 16 with --samples 32769"):
+        CtqwSpec(16, samples=2**20 // row + 1)
+    # a sweep refuses before its first point runs
+    ran = []
+    monkeypatch.setattr(experiments, "_sweep_point", ran.append)
+    with pytest.raises(ValueError, match="N = 257"):
+        run_sweep([16, 257], [0.0], corrected=False, steps=0, max_full_n=4096)
+    assert ran == []
 
 
 def test_run_verification_names_and_negative_control():
@@ -359,6 +445,10 @@ def test_cli_config_errors(tmp_path, capsys):
     bad_key.write_text("n = 16\nworkers = 2\n")  # workers is not a simulate option
     assert main(["simulate", "--config", str(bad_key)]) == 2
     assert "workers" in capsys.readouterr().err
+    # the continuous-time walk's curve does not depend on the marked vertex
+    bad_key.write_text("n = 16\nmarked = 2\n")
+    assert main(["ctqw", "--config", str(bad_key)]) == 2
+    assert "marked" in capsys.readouterr().err
     malformed = tmp_path / "malformed.cfg"
     malformed.write_text("n 16\n")
     assert main(["simulate", "--config", str(malformed)]) == 2

@@ -60,8 +60,8 @@ CASES: dict[str, tuple[list[str], str | None]] = {
          "--t-max", "6"], None),
     "ctqw-miscalibrated": (["ctqw", "--n", "64", "--epsilon", "0.5", "--samples", "9"], None),
     "ctqw-gamma-to-file": (
-        ["ctqw", "--n", "16", "--gamma", "0.05", "--samples", "5", "--marked", "2",
-         "--out", "{tmp}/ctqw.csv"], None),
+        ["ctqw", "--n", "16", "--gamma", "0.05", "--samples", "5", "--out", "{tmp}/ctqw.csv"],
+        None),
     "ctqw-corrected-with-gamma": (
         ["ctqw", "--n", "64", "--epsilon", "0.5", "--corrected", "--gamma", "0.1"], None),
     "plan": (["plan", "--n", "1024", "--beta", "0.8"], None),

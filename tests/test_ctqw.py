@@ -41,8 +41,6 @@ def test_params_validation():
         CtqwParams(8, epsilon=1.0)
     with pytest.raises(ValueError):
         CtqwParams(8, gamma=0.0)
-    with pytest.raises(ValueError):
-        CtqwParams(8, marked=8)
     assert CtqwParams(8, epsilon=0.5).rate == pytest.approx(corrected_gamma(8, 0.5))
     assert CtqwParams(8, gamma=0.03).rate == 0.03
 
@@ -108,9 +106,9 @@ def test_matches_dense_hamiltonian(n, epsilon, gamma):
 )
 @example(graph=(33, 32), epsilon=0.3, gamma=1.0 / 33.0)  # last vertex, uncorrected rate
 def test_matches_dense_hamiltonian_at_random_points(graph, epsilon, gamma):
-    # graph is (N, marked vertex)
+    # graph is (N, marked vertex); the curve must not depend on which is marked
     n, marked = graph
-    params = CtqwParams(n, epsilon=epsilon, gamma=gamma, marked=marked)
+    params = CtqwParams(n, epsilon=epsilon, gamma=gamma)
     times = np.linspace(0.0, 20.0, 101)
     expected = dense_ctqw_probs(n, epsilon, params.rate, times, marked=marked)
     np.testing.assert_allclose(
