@@ -105,7 +105,18 @@ def ctqw_success_curve(params: CtqwParams, times: np.ndarray) -> np.ndarray:
     if t.size and t.max() > _PHASE_LIMIT / w:  # t.max() * w could overflow
         raise ValueError(f"times up to {t.max():g} at jumping rate {params.rate:g}"
                          " put the phase w*t past 2^32 rad")
-    return np.cos(w * t) ** 2 / n + np.sin(w * t) ** 2 * ((top / w) ** 2 / n)
+    # cos^2 and sin^2 of one phase array, squared in place: with t, the curve
+    # takes three curve-sized arrays at its peak.  (asarray: a 0-d t gives a
+    # scalar phase, which sin could not write into.)
+    phase = np.asarray(w * t)
+    probs = np.cos(phase)
+    probs **= 2
+    probs /= n
+    np.sin(phase, out=phase)
+    phase **= 2
+    phase *= (top / w) ** 2 / n
+    probs += phase
+    return probs
 
 
 def ctqw_runtime(n_vertices: int) -> float:

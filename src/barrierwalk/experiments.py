@@ -34,13 +34,8 @@ from .phases import (
     build_phase_plan,
     runtime_t_star_exact,
 )
-from .reduced import (
-    build_reduced_operators,
-    embed,
-    evolve_reduced,
-    project,
-    psi_minus_one,
-)
+from .reduced import _class_spread, build_reduced_operators, evolve_reduced
+from .reduced import project, psi_minus_one
 from .walk import (
     WalkParams,
     _norm,
@@ -82,8 +77,8 @@ _FLOAT_FMT = ".12g"
 _CSV_CHUNK = 1 << 14  # curve rows per write, so the writer's memory stays fixed
 
 # Peak bytes per curve row, measured with tracemalloc: 16 for a discrete walk
-# and 32 for ctqw.  The CSV writer adds a fixed _CSV_CHUNK rows' worth.
-_ROW_BYTES = 32
+# and 24 for ctqw.  The CSV writer adds a fixed _CSV_CHUNK rows' worth.
+_ROW_BYTES = 24
 
 
 def phi_from_beta(beta: float) -> float:
@@ -453,8 +448,8 @@ def _trajectory_deviations(
 ) -> None:
     # One full-space trajectory, checked step by step against everything the
     # 3D reduction promises: class-wise equal amplitudes, no leakage out of
-    # the subspace (both read off x - embed(project(x))), matching success
-    # probabilities, unit norm.
+    # the subspace (both measure d = x - embed(project(x)), with one embed a
+    # step), matching success probabilities, unit norm.
     params = WalkParams(n_vertices=n, phi=phi, eta=eta)
     reduced_probs = evolve_reduced(n, phi, eta, steps)
     state = initial_state(params)
@@ -462,8 +457,7 @@ def _trajectory_deviations(
         if t > 0:
             state = step(state, params)
         reduced, residual = project(state, n, params.marked)
-        _note(worst, "symmetry-classes",
-              float(np.abs(state - embed(reduced, n, params.marked)).max()))
+        _note(worst, "symmetry-classes", _class_spread(state, n, params.marked, reduced))
         _note(worst, "projection-residual", residual)
         _note(worst, "full-vs-reduced",
               abs(success_probability(state, params.marked) - reduced_probs[t]))

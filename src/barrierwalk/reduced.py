@@ -12,10 +12,13 @@ matrices in the (ab, ba, bb) basis), their eta-independent eigenvector
 psi_minus_one, and the isometry between the subspace and the full
 N*(N-1)-dimensional space.  The in-plane states of the rotation analysis
 (the target w, the unmarked state s and their complements) are written out
-in tests/oracles.py, where the tests check them.  The classes are read
-straight off the N x (N-1) amplitude matrix (the ab row and the ba slots are
-slices of it), so embed and project build no N(N-1) index array and cache
-nothing.
+in tests/oracles.py, where the tests check them.  The classes are slices of
+the N x (N-1) amplitude matrix, taken in one place (_class_slices): ab is the
+marked row, ba the two slots pointing at the marked vertex, bb the four
+rectangles around them.  embed writes through those slices, project sums
+over them, and verify's largest deviation from a class mean (_class_spread)
+is read off them, so none builds a mask, an index array or a copy of a
+class, and nothing is cached.
 
 The key structural fact: psi_minus_one below is a (-1)-eigenvector of the
 combined coin/oracle matrix for every phase eta, so the interesting dynamics
@@ -35,13 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phases import _check_eta, _check_marked, _check_n, _check_phi, _check_steps
-from .walk import _as_state, _norm
+from .walk import _norm
 
 __all__ = [
     "ReducedOperators",
     "build_reduced_operators",
     "psi_minus_one",
-    "symmetry_classes",
     "embed",
     "project",
     "evolve_reduced",
@@ -93,29 +95,22 @@ def psi_minus_one(n_vertices: int) -> np.ndarray:
     return vec / math.sqrt(2.0 * n_vertices - 3.0)
 
 
-def _ba_views(a: np.ndarray, marked: int) -> tuple[np.ndarray, np.ndarray]:
-    # The slots of the N x (N-1) matrix a that point at the marked vertex.
-    # Slot c of row v points at c + (c >= v), so rows above marked use slot
-    # marked - 1 and rows below it slot marked; at marked = 0 or N-1 one
-    # view is empty.
-    return a[:marked, marked - 1 : marked], a[marked + 1 :, marked : marked + 1]
+def _class_slices(a: np.ndarray, marked: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    # The ab, ba and bb classes of the N x (N-1) matrix a, each as views.
+    # Slot c of row v points at c + (c >= v), so rows above marked point at it
+    # from slot marked - 1 and rows below it from slot marked: ab is the
+    # marked row, ba those two column pieces, bb the four rectangles around
+    # them.  At marked = 0 or N-1 some of the views are empty.
+    m = marked
+    ba = (a[:m, m - 1 : m], a[m + 1 :, m : m + 1])
+    bb = (a[:m, : m - 1], a[:m, m:], a[m + 1 :, :m], a[m + 1 :, m + 1 :])
+    return (a[m],), ba, bb
 
 
-def symmetry_classes(
-    full: np.ndarray, marked: int = 0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ab, ba and bb amplitudes of a full state, each class in flat order.
-
-    ab is a view of the marked vertex's row; ba and bb are copied per call.
-    """
-    arr, n = _as_state(full)
-    _check_marked(marked, n)
-    a = arr.reshape(n, n - 1)
-    others = np.ones(a.shape, dtype=bool)
-    others[marked] = False
-    for view in _ba_views(others, marked):
-        view[...] = False
-    return a[marked], np.concatenate(_ba_views(a, marked), axis=None), a[others]
+def _root_size(views: tuple[np.ndarray, ...]) -> float:
+    # sqrt of a class's size: its mean is amp / _root_size, its overlap
+    # sum / _root_size.
+    return math.sqrt(sum(v.size for v in views))
 
 
 def embed(
@@ -127,11 +122,10 @@ def embed(
         raise ValueError(f"reduced state must have shape (3,), got {amps.shape}")
     _check_n(n_vertices)
     _check_marked(marked, n_vertices)
-    n = n_vertices
-    a = np.full((n, n - 1), amps[2] / math.sqrt((n - 1) * (n - 2)))
-    a[marked] = amps[0] / math.sqrt(n - 1)
-    for view in _ba_views(a, marked):
-        view[...] = amps[1] / math.sqrt(n - 1)
+    a = np.empty((n_vertices, n_vertices - 1), dtype=np.complex128)
+    for amp, views in zip(amps, _class_slices(a, marked)):
+        for view in views:
+            view[...] = amp / _root_size(views)
     return a.reshape(-1)
 
 
@@ -146,16 +140,27 @@ def project(
     vector directly; the algebraically equal sqrt(|full|^2 - |reduced|^2)
     would turn rounding noise into sqrt(eps)-sized garbage near zero.
     """
+    _check_n(n_vertices)
+    _check_marked(marked, n_vertices)
     arr = np.asarray(full, dtype=np.complex128)
     dim = n_vertices * (n_vertices - 1)
     if arr.shape != (dim,):
         raise ValueError(f"full state must have shape ({dim},), got {arr.shape}")
-    reduced = np.array(
-        [b.sum() / math.sqrt(b.size) for b in symmetry_classes(arr, marked)],
-        dtype=np.complex128,
-    )
+    classes = _class_slices(arr.reshape(n_vertices, n_vertices - 1), marked)
+    sums = [sum(v.sum() for v in views) / _root_size(views) for views in classes]
+    reduced = np.array(sums, dtype=np.complex128)
     gap = embed(reduced, n_vertices, marked)
     return reduced, _norm(np.subtract(arr, gap, out=gap))
+
+
+def _class_spread(full: np.ndarray, n: int, marked: int, reduced: np.ndarray) -> float:
+    # max |full - embed(reduced)|, the largest deviation of any amplitude from
+    # its class mean, taken slice by slice against the means embed writes, so
+    # with project's reduced it is the largest entry of project's gap, read
+    # without a second embed.
+    classes = _class_slices(full.reshape(n, n - 1), marked)
+    return max(float(np.abs(v - amp / _root_size(views)).max(initial=0.0))
+               for amp, views in zip(reduced, classes) for v in views)
 
 
 # evolve_reduced evaluates steps in chunks of this many, so its temporaries

@@ -288,13 +288,14 @@ def _peak_bytes(fn) -> int:
 def test_curve_peak_memory_per_row_is_the_refusal_bound(make):
     # The growth of the peak from R to 2R rows is the per-row cost, free of
     # fixed costs such as chunk temporaries; the refusal in WalkSpec and
-    # CtqwSpec charges _ROW_BYTES a row (16 and 32 B measured).  The 1 KiB
+    # CtqwSpec charges _ROW_BYTES a row (16 and 24 B measured).  The 1 KiB
     # allows for small objects that one of the two runs allocates and the
     # other does not.
     rows = 200_000
     small = _peak_bytes(lambda: run_experiment(make(rows)))
     large = _peak_bytes(lambda: run_experiment(make(2 * rows)))
-    assert large - small <= experiments._ROW_BYTES * rows + 1024
+    assert experiments._ROW_BYTES == 24
+    assert large - small <= 24 * rows + 1024
 
 
 def test_curve_csv_is_written_in_chunks_of_fixed_memory(monkeypatch):
@@ -332,14 +333,14 @@ def test_specs_refuse_by_the_host_memory(monkeypatch):
     monkeypatch.setattr(experiments.os, "sysconf", pages.__getitem__)
     row = experiments._ROW_BYTES
     WalkSpec(16, steps=2**20 // row - 1, mode="dtqw-reduced")
-    with pytest.raises(ValueError, match="N = 16 with --steps 32768 needs more than 1 MiB"):
+    with pytest.raises(ValueError, match=f"N = 16 with --steps {2**20 // row} needs more than 1 MiB"):
         WalkSpec(16, steps=2**20 // row, mode="dtqw-reduced")
     # a full-space walk also holds its 16 N(N-1)-byte state
     with pytest.raises(ValueError, match="N = 257 with --steps 0"):
         WalkSpec(257, steps=0)
     WalkSpec(256, steps=0)
     CtqwSpec(16, samples=2**20 // row)
-    with pytest.raises(ValueError, match="N = 16 with --samples 32769"):
+    with pytest.raises(ValueError, match=f"N = 16 with --samples {2**20 // row + 1}"):
         CtqwSpec(16, samples=2**20 // row + 1)
     # a sweep refuses before its first point runs
     ran = []

@@ -10,14 +10,20 @@ from hypothesis import strategies as st
 
 from barrierwalk.phases import corrected_eta, overlap_angle
 from barrierwalk.reduced import (
+    _class_spread,
     build_reduced_operators,
     embed,
     evolve_reduced,
     project,
     psi_minus_one,
-    symmetry_classes,
 )
-from barrierwalk.walk import WalkParams, evolve, initial_state, success_probability
+from barrierwalk.walk import (
+    _NORM_CHUNK,
+    WalkParams,
+    evolve,
+    initial_state,
+    success_probability,
+)
 
 from oracles import (
     dense_step,
@@ -164,21 +170,23 @@ def test_reflection_structure_rotation_by_two_theta(n):
     ),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_symmetry_classes_shapes(graph, seed):
+def test_project_overlaps_are_the_class_sums(graph, seed):
     # graph is (N, marked vertex); the edges 0 and N-1 are drawn often
     n, marked = graph
     state = random_state(n * (n - 1), seed)
     others = [v for v in range(n) if v != marked]
-    # each class gathered through the index convention, in flat order
-    expected = [
+    # each class gathered through the index convention
+    classes = [
         [pair_index(n, marked, w) for w in others],
         [pair_index(n, v, marked) for v in others],
         [pair_index(n, v, w) for v in others for w in others if v != w],
     ]
-    classes = symmetry_classes(state, marked)
-    assert [block.size for block in classes] == [n - 1, n - 1, (n - 1) * (n - 2)]
-    for block, idx in zip(classes, expected):
-        assert np.array_equal(block, state[idx])
+    expected = [state[idx].sum() / math.sqrt(len(idx)) for idx in classes]
+    reduced, _ = project(state, n, marked)
+    assert np.abs(reduced - expected).max() <= 1e-14
+    # verify's symmetry-classes line: the largest entry of x - embed(reduced)
+    gap = np.abs(state - embed(reduced, n, marked)).max()
+    assert _class_spread(state, n, marked, reduced) == gap
 
 
 def test_embed_and_project_keep_nothing_state_sized():
@@ -194,6 +202,24 @@ def test_embed_and_project_keep_nothing_state_sized():
     finally:
         tracemalloc.stop()
     assert kept < state_bytes / 4
+
+
+@pytest.mark.parametrize("marked", [0, 1, 1399])
+def test_project_holds_one_state_sized_temporary(marked):
+    # Beyond its input, project holds the gap x - embed(reduced) and one
+    # _norm chunk (1.6% of a state here).  A class mask (1/16 of a state)
+    # beside a gathered bb class would read 1.06 state sizes.
+    n = 1400
+    state_bytes = 16 * n * (n - 1)
+    state = random_state(n * (n - 1), seed=marked)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        project(state, n, marked)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.01 * state_bytes + 8 * _NORM_CHUNK
 
 
 def test_embed_initial_state_and_target():
@@ -212,6 +238,9 @@ def test_project_round_trip_and_residual():
     assert residual < 1e-14
     with pytest.raises(ValueError):
         project(np.zeros(10), 8)
+    for n_bad in (1, 2):  # a shape that fits, but too few vertices
+        with pytest.raises(ValueError, match="at least 3 vertices"):
+            project(np.zeros(n_bad * (n_bad - 1)), n_bad)
     with pytest.raises(ValueError):
         embed(np.zeros(4), 8)
 
