@@ -21,26 +21,26 @@ step and evolve run all three as one in-place pass over the N x (N-1)
 matrix of amplitudes, tile pair by tile pair (see _stepper), with no index
 permutation or state-sized temporary.  The result is bitwise that of the
 three operators applied one at a time, as tests/oracles.py writes them.
-The pass touches the state only to copy each tile into tile-sized scratch
-and the result back, once each; the arithmetic runs on contiguous scratch.
-Tile rows of that pass touch disjoint amplitudes, so each evolve or step
-call hands them, and the row sums taken before them, to a thread pool of
-one thread per usable CPU (the affinity mask), which ends with the call;
-evolve fills its initial state on the same pool.
-A call splits only when every thread gets at least two 128-vertex tile rows
-(N > 384 on two CPUs); smaller N runs inline.  Every amplitude gets the
-same floating-point operations whatever the thread count.
+Each off-diagonal tile pair is copied into one stacked scratch block, run
+there in 9 numpy calls and copied back; the state's views are made once per
+call.  Tile rows touch disjoint amplitudes, so a call spreads them, and the
+row sums before them, over the calling thread and a pool of one thread per
+further usable CPU (the affinity mask) that ends with the call, each thread
+taking the next tile row from one shared iterator under a lock (see
+_workers and _each).  Every amplitude gets the same floating-point
+operations whatever the split.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -117,26 +117,53 @@ else:
     _THREADS = os.cpu_count() or 1
 
 
-def _kernel_pool(n: int) -> ThreadPoolExecutor | nullcontext[None]:
-    # The pool _stepper spreads its tile rows over during one evolve or
-    # step call; its threads take the next tile row as they finish one, and
-    # all end with the call.  Split only when every thread gets at least two
-    # tile rows: a step at N = 200 (two 128-rows) ran slower split in two, one
-    # at N = 512 faster.  Unsplit, the call has no pool and no thread.
-    threads = min(_THREADS, -(-n // _TILE) // 2)
-    return ThreadPoolExecutor(threads) if threads > 1 else nullcontext()
+def _workers(n: int) -> int:
+    # Pool threads one evolve or step call at N adds to its calling thread;
+    # the pool ends with the call.  The call splits only when every thread
+    # gets at least two tile rows: a step at N = 200 (two 128-rows) ran
+    # slower split in two, one at N = 512 faster.  Unsplit, the call has no
+    # pool and no thread.
+    return max(min(_THREADS, -(-n // _TILE) // 2), 1) - 1
+
+
+def _each(pool: ThreadPoolExecutor | None, workers: int, drain, items) -> None:
+    # One pass of a call: drain on each of the pool's worker threads and on
+    # the calling thread, all taking items (tile rows) from one iterator, so
+    # a thread that finishes one takes the next and the caller is not left
+    # idle.  That is one future per worker and pass, not one per tile row.
+    # Each next() runs under one lock, so each item goes to exactly one
+    # thread with or without a GIL (no item is None, the end of a drain);
+    # result() re-raises what a pool thread raised.
+    if not workers:
+        return drain(items)
+    it, lock = iter(items), threading.Lock()
+
+    def take():
+        with lock:
+            return next(it, None)
+
+    futures = [pool.submit(drain, iter(take, None)) for _ in range(workers)]
+    drain(iter(take, None))
+    for future in futures:
+        future.result()
+
+
+def _copy(dst: np.ndarray, src: np.ndarray, m: int, starts: Iterable) -> None:
+    for k in starts:
+        np.copyto(dst[k : k + m], src[k : k + m])
 
 
 @lru_cache(maxsize=4)
 def _tile_permutation(b: int) -> np.ndarray:
     # perm[index(v, ->w)] = index(w, ->v) on the flat layout of K_b, the
     # flip-flop pairing within one of the kernel's diagonal tiles; flat index
-    # v*(b-1) + c is vertex v's coin slot c, pointing at w.  Only tile-sized
-    # permutations are built and cached, never the state-sized one.
+    # v*(b-1) + c is vertex v's coin slot c, pointing at w.  It is shaped as
+    # the b x (b-1) tile.  Only tile-sized permutations are built and cached,
+    # never the state-sized one.
     v = np.repeat(np.arange(b), b - 1)
     c = np.tile(np.arange(b - 1), b)
     w = c + (c >= v)
-    perm = w * (b - 1) + (v - (v > w))
+    perm = (w * (b - 1) + (v - (v > w))).reshape(b, b - 1)
     perm.flags.writeable = False
     return perm
 
@@ -188,102 +215,103 @@ def step(state: np.ndarray, params: WalkParams) -> np.ndarray:
             f"state is for {n} vertices but params expect {params.n_vertices}"
         )
     out = arr.copy()
-    with _kernel_pool(n) as pool:
-        _stepper(out, params, pool)()
+    with ThreadPoolExecutor(w) if (w := _workers(n)) else nullcontext() as pool:
+        _stepper(out, params, pool, w)()
     return out
 
 
-def _stepper(
-    flat: np.ndarray, params: WalkParams, pool: ThreadPoolExecutor | None
-) -> Callable[[], None]:
+def _stepper(flat: np.ndarray, params: WalkParams, pool, workers: int) -> Callable:
     # A function that applies step() to the contiguous complex128 state flat
     # in place, with the same floating-point operations as the oracle, coin
-    # and shift applied one at a time (the reference in tests/oracles.py);
-    # what stays fixed from step to step is prepared here once.
+    # and shift applied one at a time (the reference in tests/oracles.py).
     # Amplitude (v, ->w) and its flip-flop partner (w, ->v) sit in the same
     # pair of square tiles (vertex tile I pointing into tile J, and J back
     # into I), and the coin needs only the row means taken up front, so each
     # tile pair is read and rewritten once.  Both state-sized passes go tile
-    # row by tile row, across the pool's threads if there is one (see
-    # _kernel_pool); list() drains the map, which also raises what any tile
-    # row raised.
+    # row by tile row through _each, on pool's workers and the caller.  What
+    # stays fixed from step to step, every view of the state included, is
+    # made here once.
     n = params.n_vertices
     a = flat.reshape(n, n - 1)
     marked_row = a[params.marked]
     oracle = -np.exp(-1j * params.eta)
     b = min(_TILE, n)
-    starts = range(0, n, b)
     sums = np.empty(n, dtype=np.complex128)
-    row_sums = partial(_row_sums, a, b, sums)
     # The coin's (1 + e^{i eta}) * mean, with np.mean's own sum and division.
     # The product goes to an array of its own, as the reference coin's does:
     # numpy rounds an in-place complex product over a one-element array
     # differently.
     coin = 1.0 + np.exp(1j * params.eta)
     cm = np.empty(n, dtype=np.complex128)
-    coin_shift = partial(_coin_shift_tile_row, a, b, cm, params.alpha, params.beta)
-    run = map if pool is None else pool.map
+    # Per tile row I (vertices i0..i1-1): its rows and their sums; tile
+    # (I, I), the flat layout of K_(i1-i0), with its flip-flop permutation
+    # and coin means; and for each tile J after I, the slots of I pointing
+    # into J (w > v, so slot w - 1), the slots of J pointing back (slot w),
+    # and J's coin means.
+    tile_rows = []
+    for i0 in range(0, n, b):
+        i1 = min(i0 + b, n)
+        pairs = []
+        for j0 in range(i1, n, b):
+            u, low = a[i0:i1, j0 - 1 : j0 + b - 1], a[j0 : j0 + b, i0:i1]
+            pairs.append((u, low, cm[None, j0 : j0 + b]))
+        diagonal = a[i0:i1, i0 : i1 - 1], _tile_permutation(i1 - i0), cm[i0:i1, None]
+        tile_rows.append(((a[i0:i1], sums[i0:i1]), (*diagonal, pairs)))
+    coin_shift = partial(_coin_shift, b, params.alpha, params.beta)
 
     def advance() -> None:
         np.multiply(marked_row, oracle, out=marked_row)
-        list(run(row_sums, starts))
+        _each(pool, workers, _row_sums, tile_rows)
         np.true_divide(sums, n - 1, out=sums)
         np.multiply(coin, sums, out=cm)
-        list(run(coin_shift, starts))
+        _each(pool, workers, coin_shift, tile_rows)
 
     return advance
 
 
-def _row_sums(a: np.ndarray, b: int, sums: np.ndarray, i0: int) -> None:
-    # Sums of rows i0..i0+b-1, each by one pairwise reduce, as np.mean takes.
-    np.add.reduce(a[i0 : i0 + b], 1, out=sums[i0 : i0 + b])
+def _row_sums(tile_rows: Iterable) -> None:
+    # Sums of each row, each by one pairwise reduce, as np.mean takes.
+    for (rows, total), _ in tile_rows:
+        np.add.reduce(rows, 1, out=total)
 
 
-def _coin_shift_tile_row(
-    a: np.ndarray, b: int, cm: np.ndarray, cos: float, isin: complex, i0: int
-) -> None:
-    # Coin and lazy shift of tiles (I, J) and (J, I) for J >= I, I the tile
-    # of vertices i0..i0+b-1.  Tile rows touch disjoint amplitudes, so any
-    # number of them may run at once, each through its own four tile-sized
-    # scratch buffers.
-    n = a.shape[0]
-    i1 = min(i0 + b, n)
-    cm_i = cm[i0:i1, None]
+def _coin_shift(b: int, cos: float, isin: complex, tile_rows: Iterable) -> None:
+    # Coin and lazy shift of tile (I, I) and of each pair (I, J), (J, I) for
+    # every tile row it takes.  Tile rows touch disjoint amplitudes, so any
+    # number of them may run at once, each thread through four tile-sized
+    # scratch tiles of its own.  A pair's tiles touch the state only through
+    # np.copyto; every ufunc runs on contiguous scratch, and each result is
+    # copied back once.  A ufunc over a strided 2-D view pays numpy's
+    # overhead per row: at N = 4096 on a 2-vCPU Intel Xeon, a coin subtract
+    # reading a state tile took 50-63 us, against 29 us to copy it and
+    # subtract.
     scratch = np.empty((4, b * b), dtype=np.complex128)
-    # Vertices i0..i1-1 among themselves: the flat layout of K_(i1-i0).
-    d = a[i0:i1, i0 : i1 - 1]
-    x, y = scratch[0, : d.size], scratch[1, : d.size]
-    coin = x.reshape(d.shape)
-    np.subtract(cm_i, d, out=coin)
-    # the indices are in range; mode="raise" would buffer the output
-    x.take(_tile_permutation(i1 - i0), out=y, mode="wrap")
-    np.multiply(y.reshape(d.shape), cos, out=d)
-    coin *= isin
-    d += coin
-    for j0 in range(i1, n, b):
-        j1 = min(j0 + b, n)
-        # Slots of tile I pointing into tile J (w > v, so slot w - 1), and
-        # the slots of tile J pointing back (slot w), tile (J, I), copied in
-        # the layout of (I, J).  Only np.copyto touches the state; every
-        # ufunc runs on contiguous scratch, and each result is copied back
-        # once.  A ufunc over a strided 2-D view pays numpy's overhead per
-        # row: at N = 4096 on a 2-vCPU Intel Xeon, a coin subtract reading a
-        # state tile took 50-63 us, against 29 us to copy it and subtract.
-        u = a[i0:i1, j0 - 1 : j1 - 1]
-        low = a[j0:j1, i0:i1]
-        cu, cl, q, r = scratch[:, : u.size].reshape(4, *u.shape)
-        np.copyto(cu, u)
-        np.copyto(cl, low.T)
-        np.subtract(cm_i, cu, out=cu)
-        np.subtract(cm[None, j0:j1], cl, out=cl)
-        np.multiply(cu, isin, out=q)
-        np.multiply(cl, cos, out=r)
-        np.add(r, q, out=q)
-        np.copyto(u, q)
-        cu *= cos
-        cl *= isin
-        np.add(cu, cl, out=q)
-        np.copyto(low, q.T)
+    for _, (d, perm, cm_i, pairs) in tile_rows:
+        x = scratch[0, : d.size].reshape(d.shape)
+        y = scratch[1, : d.size].reshape(d.shape)
+        np.subtract(cm_i, d, out=x)
+        # the indices are in range; mode="raise" would buffer the output
+        x.take(perm, out=y, mode="wrap")
+        # Written twice: at N <= 128 this tile is the whole contiguous state,
+        # where np.add(y, x, out=d) over three distinct arrays ran slower.
+        np.multiply(y, cos, out=d)
+        x *= isin
+        d += x
+        for u, low, cm_j in pairs:
+            # x stacks the coins of (I, J) and of (J, I), the second in the
+            # layout of (I, J), and p their products with cos; each tile's
+            # result is cos * partner + i sin * self.
+            x, p = scratch[:, : u.size].reshape(2, 2, *u.shape)
+            xu, xl = x
+            np.copyto(xu, u)
+            np.copyto(xl, low.T)
+            np.subtract(cm_i, xu, out=xu)
+            np.subtract(cm_j, xl, out=xl)
+            np.multiply(x, cos, out=p)
+            x *= isin
+            np.add(p[::-1], x, out=x)
+            np.copyto(u, xu)
+            np.copyto(low, xl.T)
 
 
 def success_probability(state: np.ndarray, marked: int) -> float:
@@ -299,17 +327,16 @@ def evolve(params: WalkParams, steps: int) -> np.ndarray:
     _check_steps(steps)
     n = params.n_vertices
     state = np.empty(params.dim, dtype=np.complex128)
-    rows, b = state.reshape(n, n - 1), min(_TILE, n)
-    value = 1.0 / math.sqrt(params.dim)
     probs = np.empty(steps + 1)
-    with _kernel_pool(n) as pool:
-        # initial_state's bytes, written tile row by tile row on the pool's
+    with ThreadPoolExecutor(w) if (w := _workers(n)) else nullcontext() as pool:
+        # initial_state's bytes, written tile row by tile row on the call's
         # threads, so the first touch of the state's pages (268 MB at
         # N = 4096) splits across them.
-        run = map if pool is None else pool.map
-        list(run(lambda i0: rows[i0 : i0 + b].fill(value), range(0, n, b)))
+        fill = np.broadcast_to(1.0 / math.sqrt(params.dim), state.shape)
+        m = _TILE * (n - 1)
+        _each(pool, w, partial(_copy, state, fill, m), range(0, state.size, m))
         probs[0] = success_probability(state, params.marked)
-        advance = _stepper(state, params, pool)
+        advance = _stepper(state, params, pool, w)
         for t in range(1, steps + 1):
             advance()
             probs[t] = success_probability(state, params.marked)
