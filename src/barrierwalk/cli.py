@@ -28,8 +28,8 @@ from .experiments import (
     _FLOAT_FMT,
     CtqwSpec,
     WalkSpec,
-    engine_for,
     phi_from_beta,
+    refuse_above_cap,
     run_experiment,
     run_sweep,
     run_verification,
@@ -176,11 +176,9 @@ _SIMULATE = (
 def _cmd_simulate(o: argparse.Namespace) -> int:
     if o.mode == "ctqw":
         raise ValueError("continuous-time runs have their own subcommand: ctqw")
-    if o.mode == "dtqw-full" and engine_for(o.n, o.max_full_n) == "dtqw-reduced":
-        raise ValueError(
-            f"N = {o.n} exceeds the full-space cap {o.max_full_n}; "
-            "use --mode dtqw-reduced or raise --max-full-n"
-        )
+    if o.mode == "dtqw-full":
+        refuse_above_cap(o.n, o.max_full_n,
+                         "use --mode dtqw-reduced or raise --max-full-n")
     spec = WalkSpec(o.n, o.beta, o.corrected, o.steps, marked=o.marked, mode=o.mode)
     _emit_curve(run_experiment(spec), o.out)
     return EXIT_OK
@@ -351,8 +349,10 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config) if args.config else {}
         return handler(_resolve(options, args, config))
     except (ValueError, MemoryError) as exc:
-        # MemoryError: an array too large to allocate, from --steps, --samples
-        # or a raised --max-full-n.
+        # MemoryError is a backstop: every subcommand refuses a run past the
+        # host's physical memory before allocating, but an array can still
+        # fail to allocate under a limit that refusal does not read, such as
+        # a cgroup's.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

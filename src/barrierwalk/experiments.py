@@ -29,6 +29,8 @@ from .ctqw import CtqwParams, ctqw_runtime, ctqw_success_curve
 from .phases import (
     BlockedRegimeError,
     PhasePlan,
+    _check_n,
+    _check_phi,
     _check_steps,
     _scaled_hoyer_residual,
     build_phase_plan,
@@ -56,6 +58,7 @@ __all__ = [
     "CheckResult",
     "phi_from_beta",
     "engine_for",
+    "refuse_above_cap",
     "run_experiment",
     "summary_line",
     "write_curve_csv",
@@ -65,9 +68,9 @@ __all__ = [
 ]
 
 # Full-space states above this N cost >16.8M complex amplitudes (268 MB);
-# the full engine holds about one state, so the cap bounds its memory to
-# about that.  Default to the reduced model beyond it unless the caller
-# raises the cap explicitly.
+# simulate and sweep hold about one state and verify about three, so the cap
+# bounds their memory to a few of them.  Default to the reduced model beyond
+# it unless the caller raises the cap explicitly; verify always keeps it.
 DEFAULT_MAX_FULL_N = 4096
 
 VERIFY_DEFAULT_NS = (4, 16, 64)
@@ -98,7 +101,15 @@ def _check_memory(rows: int, state_bytes: int, n: int, knob: str) -> None:
 
 def engine_for(n_vertices: int, max_full_n: int) -> str:
     """Discrete-walk engine for N: dtqw-full up to the cap, dtqw-reduced above."""
+    if max_full_n < 0:
+        raise ValueError(f"the full-space cap must be >= 0, got {max_full_n}")
     return "dtqw-full" if n_vertices <= max_full_n else "dtqw-reduced"
+
+
+def refuse_above_cap(n: int, max_full_n: int, hint: str) -> None:
+    """Refuse a full-space run at N above the cap; hint says what to do instead."""
+    if engine_for(n, max_full_n) == "dtqw-reduced":
+        raise ValueError(f"N = {n} exceeds the full-space cap {max_full_n}; {hint}")
 
 
 @dataclass(frozen=True)
@@ -410,7 +421,8 @@ def run_verification(
 ) -> list[CheckResult]:
     """Cross-module invariant suite; every check reports its worst deviation.
 
-    The checks and their tolerances are listed in _CHECK_TOLERANCES.
+    The checks and their tolerances are listed in _CHECK_TOLERANCES.  The grid
+    is checked first: each N must be within DEFAULT_MAX_FULL_N and fit in memory.
     force_eta_zero makes the Hoyer check use eta = 0 where the corrected
     phase is required; it exists as a negative control (any phi > 0 in the
     grid then fails) and affects no other check.
@@ -419,6 +431,17 @@ def run_verification(
         raise ValueError("verification needs at least one N and one phi")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    for phi in phi_values:
+        _check_phi(phi, allow_blocked=True)
+    for n in n_values:
+        _check_n(n)
+        refuse_above_cap(n, DEFAULT_MAX_FULL_N,
+                         "verify steps the full-space walk at every N it checks")
+        # A trajectory holds about three states at its peak: the state,
+        # step's copy and project's gap.  tracemalloc read 2.50 state sizes at
+        # N = 1024 and 2.63 at N = 512; at N = 256, 3.4, as the kernel's 1 MiB
+        # of scratch tiles is about one state there.
+        _check_memory(steps + 1, 3 * 16 * n * (n - 1), n, f"--steps {steps}")
     worst = dict.fromkeys(_CHECK_TOLERANCES, 0.0)
     eye = np.eye(3)
     for n in n_values:

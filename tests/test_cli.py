@@ -350,6 +350,23 @@ def test_specs_refuse_by_the_host_memory(monkeypatch):
     assert ran == []
 
 
+def test_verify_checks_its_grid_before_any_trajectory(monkeypatch):
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}  # 1 MiB
+    monkeypatch.setattr(experiments.os, "sysconf", pages.__getitem__)
+    ran = []
+    monkeypatch.setattr(experiments, "_trajectory_deviations",
+                        lambda *args: ran.append(args))
+    # one N = 256 state (1,044,480 B) fits in 1 MiB; verify's three do not
+    with pytest.raises(ValueError, match="N = 256 with --steps 3 needs more than 1 MiB"):
+        run_verification([4, 256], [0.0], steps=3)
+    # a bad phi once stopped verify only after the points before it had run
+    with pytest.raises(ValueError, match="phi must lie in"):
+        run_verification([4], [0.3, 2.0], steps=3)
+    assert ran == []
+    run_verification([4, 128], [0.0], steps=3)
+    assert {args[0] for args in ran} == {4, 128}
+
+
 def test_run_verification_names_and_negative_control():
     checks = run_verification([4], [0.0, 0.3], steps=40)
     assert [c.name for c in checks] == [
@@ -535,6 +552,40 @@ def test_cli_absurd_n_is_exit_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: need at most 10^300 vertices, got a 401-digit N\n"
+
+
+@pytest.mark.parametrize("n", [4097, 10**12])
+def test_cli_verify_refuses_n_above_the_cap(n, monkeypatch, capsys):
+    # verify has no reduced fallback: above the default cap it exits 2 before
+    # its first trajectory (10^12 once ended in numpy's dimension error, and
+    # N = 20000 in a kill at 7.5 GiB).  A trajectory here would raise
+    # TypeError, which main does not catch.
+    monkeypatch.setattr(experiments, "_trajectory_deviations", None)
+    assert main(["verify", "--n", f"16,{n}", "--steps", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: N = {n} exceeds the full-space cap 4096;"
+        " verify steps the full-space walk at every N it checks\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--n", "8", "--steps", "3"],
+     ["sweep", "--n", "8", "--beta", "0", "--steps", "3"]],
+    ids=lambda argv: argv[0],
+)
+def test_cli_negative_cap_is_exit_2(argv, capsys):
+    # simulate once read -5 as "exceeds the full-space cap -5", and sweep
+    # took -1 in silence.  A cap of 0 stays valid: sweep runs every point
+    # reduced, and a full-space simulate is refused as above the cap.
+    assert main([*argv, "--max-full-n", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the full-space cap must be >= 0, got -1\n"
+    assert main([*argv, "--max-full-n", "0"]) == (2 if argv[0] == "simulate" else 0)
+    assert "must be >= 0" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--gamma", "--t-max"])

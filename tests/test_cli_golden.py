@@ -76,6 +76,8 @@ CASES: dict[str, tuple[list[str], str | None]] = {
     # dot product across threads; verify's norms take no BLAS, so these bytes
     # hold on one CPU and on several (CI also runs the suite under taskset).
     "verify-n128": (["verify", "--n", "128", "--phi", "0", "--steps", "100"], None),
+    # verify has no reduced fallback, so above the default cap it exits 2.
+    "verify-over-cap": (["verify", "--n", "4097", "--steps", "1"], None),
     # Near pi/2 the unscaled phase-matching defect rounds to 1e-8 and failed
     # a correct walk.
     "verify-near-blocking": (["verify", "--n", "16", "--phi", "1.5707", "--steps", "2"], None),

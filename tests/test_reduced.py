@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from barrierwalk.phases import corrected_eta, overlap_angle
+from barrierwalk.phases import build_phase_plan, corrected_eta, overlap_angle
 from barrierwalk.reduced import (
     _class_spread,
     build_reduced_operators,
@@ -364,3 +364,61 @@ def test_evolve_reduced_memory_is_its_output():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * probs.nbytes
+
+
+# The paper's claim, checked against bounds derived from evolve_reduced's
+# closed form.  For the corrected walk the marked amplitude is
+#     a(t) = c0 (-e^{i phi})^t + e^{ith} R(t),   R = A cos(ts) + D sin(ts)/sin(s),
+# with c0 = (N-2)/((2N-3) sqrt(N)) < 1/(2 sqrt(N)).  F(tau) = |R|^2 at tau = ts
+# is a quadratic form in (cos tau, sin tau), so
+#     F(tau) = L cos^2(tau - tau_R) + l sin^2(tau - tau_R),
+# and (sqrt(F) - c0)^2 <= p(t) <= (sqrt(F) + c0)^2.  Expanded in 1/N, with
+# the constants of the next terms read off a 60-digit mpmath evaluation over
+# N >= 100 and beta up to 0.9999:
+#     L = 1/2 - sin^2(phi)/(4N) + (0 .. 0.39)/N^2,
+#     l = sin^2(phi)/(4N) + (0 .. 0.27)/N^2,
+#     s >= sqrt(2) cos(phi)/sqrt(N), and larger by at most 0.6/N relative,
+#     s/sigma - 1 lies in [0, 1.3/N]  ((1 + 4 sin^2(phi))/(4N) to leading order),
+#     tau_R = pi/2 - s/2 exactly, so F peaks at t_c = pi/(2s) - 1/2 steps.
+# t* rounds pi/(2 sigma), so 0 <= t* - t_c <= 1 + 1.45/(cos(phi) sqrt(N)).
+# Then:
+#  1. The peak lies between (sqrt(L) cos(s/2) - c0)^2, at the step nearest
+#     t_c, and (sqrt(L) + c0)^2, so
+#         |p_peak - 1/2| sqrt(N) <= 1/sqrt(2) + 1/(4 sqrt(N)) + 1/N.
+#  2. p(t*) >= (sqrt(L) cos(s (t* - t_c)) - c0)^2, so p_peak - p(t*) is at
+#     most 4 c0 sqrt(L) + L s^2 (t* - t_c)^2, and
+#         (p_peak - p(t*)) sqrt(N)
+#             <= sqrt(2) + (cos(phi) + 1.5/sqrt(N))^2/sqrt(N) + 1/N.
+#  3. p at the argmax t_m is at least the peak's lower bound, so
+#     (L - l) sin^2(t_m s - tau_R) <= L sin^2(s/2) + 4 c0 sqrt(L), which gives
+#         sin^2(t_m s - tau_R) <= Y = (2 sqrt(2)/sqrt(N) + 1/N) / (1 - 2/N):
+#     a 1/sqrt(N) ripple on a peak whose curvature is cos^2(phi)/N.  Inside
+#     the window |t_m s - tau_R| < pi/2, so
+#         |t_m - t*| cos(phi)/N^(1/4)
+#             <= arcsin(sqrt(Y)) N^(1/4)/sqrt(2) + (cos(phi) + 1.5/sqrt(N))/N^(1/4),
+#     which tends to 2^(1/4).
+# The 1/N terms, and 1.5 for 1.45, take in the O(1/N^2) remainders.  The
+# cos(phi) in bound 3 matters: where cos(phi) sqrt(N) is about 1,
+# |t_m - t*|/N^(1/4) alone reads 2.85.  Over 400 random points the three
+# readings, bound 3 with its cos(phi), peaked at 0.708, 1.414 and 0.646.
+@settings(max_examples=100, deadline=None)
+@given(exponent=st.floats(2.0, 12.0), beta=st.floats(0.0, 0.995))
+# cos(phi) sqrt(N) = 1.0: |argmax - t*|/N^(1/4) reads 2.85, or 0.28 times cos(phi)
+@example(exponent=2.0, beta=0.995)
+@example(exponent=12.0, beta=0.995)  # the costliest point, 15 M steps
+def test_corrected_walk_peaks_at_one_half_near_t_star(exponent, beta):
+    n = round(10**exponent)
+    phi = math.asin(beta)
+    plan = build_phase_plan(n, phi)
+    probs = evolve_reduced(n, phi, plan.eta, math.ceil(1.35 * plan.t_star_exact))
+    peak = int(np.argmax(probs))
+    assert 0 < peak < len(probs) - 1
+    root, quarter, cos = math.sqrt(n), n**0.25, math.cos(phi)
+    assert abs(probs[peak] - 0.5) * root <= 1 / math.sqrt(2) + 1 / (4 * root) + 1 / n
+    assert (probs[peak] - probs[plan.t_star]) * root <= (
+        math.sqrt(2) + (cos + 1.5 / root) ** 2 / root + 1 / n
+    )
+    y = (2 * math.sqrt(2) / root + 1 / n) / (1 - 2 / n)
+    assert abs(peak - plan.t_star) * cos / quarter <= (
+        math.asin(math.sqrt(y)) * quarter / math.sqrt(2) + (cos + 1.5 / root) / quarter
+    )
