@@ -15,10 +15,9 @@ N*(N-1)-dimensional space.  The in-plane states of the rotation analysis
 in tests/oracles.py, where the tests check them.  The classes are slices of
 the N x (N-1) amplitude matrix, taken in one place (_class_slices): ab is the
 marked row, ba the two slots pointing at the marked vertex, bb the four
-rectangles around them.  embed writes through those slices, project sums
-over them, and verify's largest deviation from a class mean (_class_spread)
-is read off them, so none builds a mask, an index array or a copy of a
-class, and nothing is cached.
+rectangles around them.  embed writes through those slices and project sums
+over them, so neither builds a mask, an index array or a copy of a class,
+and nothing is cached.
 
 The key structural fact: psi_minus_one below is a (-1)-eigenvector of the
 combined coin/oracle matrix for every phase eta, so the interesting dynamics
@@ -151,16 +150,6 @@ def project(
     reduced = np.array(sums, dtype=np.complex128)
     gap = embed(reduced, n_vertices, marked)
     return reduced, _norm(np.subtract(arr, gap, out=gap))
-
-
-def _class_spread(full: np.ndarray, n: int, marked: int, reduced: np.ndarray) -> float:
-    # max |full - embed(reduced)|, the largest deviation of any amplitude from
-    # its class mean, taken slice by slice against the means embed writes, so
-    # with project's reduced it is the largest entry of project's gap, read
-    # without a second embed.
-    classes = _class_slices(full.reshape(n, n - 1), marked)
-    return max(float(np.abs(v - amp / _root_size(views)).max(initial=0.0))
-               for amp, views in zip(reduced, classes) for v in views)
 
 
 # evolve_reduced evaluates steps in chunks of this many, so its temporaries

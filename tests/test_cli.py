@@ -356,7 +356,7 @@ def test_verify_checks_its_grid_before_any_trajectory(monkeypatch):
     ran = []
     monkeypatch.setattr(experiments, "_trajectory_deviations",
                         lambda *args: ran.append(args))
-    # one N = 256 state (1,044,480 B) fits in 1 MiB; verify's three do not
+    # one N = 256 state (1,044,480 B) fits in 1 MiB; the 3.5 verify charges do not
     with pytest.raises(ValueError, match="N = 256 with --steps 3 needs more than 1 MiB"):
         run_verification([4, 256], [0.0], steps=3)
     # a bad phi once stopped verify only after the points before it had run
@@ -373,7 +373,6 @@ def test_run_verification_names_and_negative_control():
         "reduced-unitarity",
         "psi-minus-one-eigenvector",
         "hoyer-residual",
-        "symmetry-classes",
         "projection-residual",
         "full-vs-reduced",
         "norm-conservation",
@@ -482,8 +481,8 @@ def test_cli_config_errors(tmp_path, capsys):
 def test_cli_verify_pass_and_boundary(capsys):
     assert main(["verify", "--n", "3,4", "--phi", "0,0.3", "--steps", "40"]) == 0
     captured = capsys.readouterr()
-    assert "verify: PASS (7/7 checks)" in captured.out
-    assert captured.out.count("): PASS") == 7
+    assert "verify: PASS (6/6 checks)" in captured.out
+    assert captured.out.count("): PASS") == 6
 
 
 def test_cli_verify_negative_control(capsys):

@@ -303,6 +303,31 @@ def test_split_step_threads_end_with_the_call(monkeypatch):
         assert np.array_equal(out, apply_step(state, params.marked, 0.3, params.eta))
 
 
+class _DrainError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("where", ["pool", "caller"])
+def test_split_evolve_reraises_a_drain_error(monkeypatch, where):
+    # A split evolve (N = 512 on two threads) drains each pass on the calling
+    # thread and on one pool thread.  An exception raised by either drain
+    # comes out of evolve, and the pool's thread still ends with the call.
+    monkeypatch.setattr(walk, "_THREADS", 2)
+    caller = threading.get_ident()
+    row_sums = walk._row_sums
+
+    def failing_row_sums(tile_rows):
+        if (threading.get_ident() == caller) == (where == "caller"):
+            raise _DrainError(where)
+        row_sums(tile_rows)
+
+    monkeypatch.setattr(walk, "_row_sums", failing_row_sums)
+    before = threading.active_count()
+    with pytest.raises(_DrainError, match=where):
+        evolve(WalkParams(512, phi=0.3, eta=corrected_eta(0.3, 512)), 2)
+    assert threading.active_count() == before
+
+
 def test_step_and_evolve_keep_no_index_alive():
     # The kernel caches the flip-flop permutation of its diagonal tiles only;
     # nothing the size of the state's N(N-1) index may stay alive after a
