@@ -7,7 +7,7 @@ analysis, and the continuous-time analogue with its corrected jumping rate.
 
 The top level exports the names the README documents.  Everything else stays
 importable from its own module: step and success_probability from
-barrierwalk.walk, the 3x3 operators and symmetry classes from
+barrierwalk.walk, the 3x3 operators and psi_minus_one from
 barrierwalk.reduced, the eta/sigma/runtime formulas from barrierwalk.phases,
 the continuous-time helpers from barrierwalk.ctqw, and the CSV writers and
 sweep rows from barrierwalk.experiments.

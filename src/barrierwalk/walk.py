@@ -120,9 +120,12 @@ else:
 def _workers(n: int) -> int:
     # Pool threads one evolve or step call at N adds to its calling thread;
     # the pool ends with the call.  The call splits only when every thread
-    # gets at least two tile rows: a step at N = 200 (two 128-rows) ran
-    # slower split in two, one at N = 512 faster.  Unsplit, the call has no
-    # pool and no thread.
+    # gets at least two tile rows (N >= 385 on two threads): a step at
+    # N = 200 (two 128-rows) ran slower split in two.  On a 2-vCPU Intel
+    # Xeon, in process, a split step ran 7-20% slower than an unsplit one at
+    # N = 512 and 1.29x faster at N = 640, so the break-even lies between
+    # them; the rule awaits a per-layer figure at N = 512.  Unsplit, the
+    # call has no pool and no thread.
     return max(min(_THREADS, -(-n // _TILE) // 2), 1) - 1
 
 
@@ -163,9 +166,11 @@ def _tile_permutation(b: int) -> np.ndarray:
     v = np.repeat(np.arange(b), b - 1)
     c = np.tile(np.arange(b - 1), b)
     w = c + (c >= v)
-    perm = (w * (b - 1) + (v - (v > w))).reshape(b, b - 1)
-    perm.flags.writeable = False
-    return perm
+    # Cached, since a fresh build takes 250-274 us at b = 128.  The array
+    # must stay writeable, though nothing ever writes it: numpy's take copies
+    # a read-only index on every call (130,240 B and 16-18 us at b = 128,
+    # against 96 B and 12-14 us for this one).
+    return (w * (b - 1) + (v - (v > w))).reshape(b, b - 1)
 
 
 def _as_state(state: np.ndarray) -> tuple[np.ndarray, int]:
@@ -175,22 +180,29 @@ def _as_state(state: np.ndarray) -> tuple[np.ndarray, int]:
     return arr, vertex_count(arr.shape[0])
 
 
-# _norm squares and sums this many doubles at a time (512 KB).
+# _sum_squares squares and sums this many doubles at a time (512 KB).
 _NORM_CHUNK = 1 << 16
 
 
-def _norm(x: np.ndarray) -> float:
-    # 2-norm of a contiguous complex array: numpy's pairwise sum over the
+def _sum_squares(x: np.ndarray) -> float:
+    # Sum of |x_i|^2 over a contiguous complex array, the one routine behind
+    # every full-space figure (success probabilities, and through _norm the
+    # norm drift and project's residual): numpy's pairwise sum over the
     # squares of its float view, a chunk at a time, so no temporary is state
-    # sized.  np.linalg.norm is a BLAS dot, whose rounding changes with the
-    # number of threads OpenBLAS splits it across, and whose own error (5e-14
-    # at N = 128) hid the 2e-15 norm drift of a 100-step walk.
+    # sized.  A BLAS dot (np.vdot, np.linalg.norm) rounds differently with
+    # the number of threads OpenBLAS splits it across, which it does above
+    # 10,000 amplitudes, and its own error (5e-14 at N = 128) hid the 2e-15
+    # norm drift of a 100-step walk.
     v = x.view(np.float64)
     total = 0.0
     for k in range(0, v.size, _NORM_CHUNK):
         part = v[k : k + _NORM_CHUNK]
         total += np.add.reduce(part * part)
-    return math.sqrt(total)
+    return float(total)
+
+
+def _norm(x: np.ndarray) -> float:
+    return math.sqrt(_sum_squares(x))
 
 
 def initial_state(params: WalkParams) -> np.ndarray:
@@ -318,8 +330,9 @@ def success_probability(state: np.ndarray, marked: int) -> float:
     """Total probability on the marked vertex across its coin directions."""
     arr, n = _as_state(state)
     _check_marked(marked, n)
-    block = arr[marked * (n - 1) : (marked + 1) * (n - 1)]
-    return float(np.real(np.vdot(block, block)))
+    # contiguous for _sum_squares's float view; a strided state gets a copy
+    block = np.ascontiguousarray(arr[marked * (n - 1) : (marked + 1) * (n - 1)])
+    return _sum_squares(block)
 
 
 def evolve(params: WalkParams, steps: int) -> np.ndarray:

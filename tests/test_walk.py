@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barrierwalk import walk
+from barrierwalk.experiments import run_verification
 from barrierwalk.phases import corrected_eta
-from barrierwalk.reduced import evolve_reduced
+from barrierwalk.reduced import embed, evolve_reduced, project
 from barrierwalk.walk import (
     WalkParams,
     evolve,
@@ -412,6 +413,52 @@ def test_success_probability_concentrated():
     assert success_probability(state, 0) == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ValueError):
         success_probability(state, n)
+
+
+def _no_blas(*args, **kwargs):
+    raise AssertionError("a BLAS dot product on the full-space path")
+
+
+def test_full_space_figures_take_no_blas_dot(monkeypatch):
+    # Every full-space figure is a sum of squares through walk._sum_squares:
+    # OpenBLAS splits a dot of more than 10,000 amplitudes across threads,
+    # and its rounding then changes with the thread count (a vdot over 10,001
+    # unit-norm amplitudes read 1.0 on one thread and 1 - 2.2e-16 on two).
+    n, phi = 16, 0.3
+    params = WalkParams(n, phi=phi, eta=corrected_eta(phi, n), marked=3)
+    state = random_state(params.dim, seed=2)  # normalised by np.linalg.norm
+    for name in ("vdot", "dot", "inner"):
+        monkeypatch.setattr(np, name, _no_blas)
+    monkeypatch.setattr(np.linalg, "norm", _no_blas)
+    probs = evolve(params, 4)
+    out = step(state, params)
+    block = slice(3 * (n - 1), 4 * (n - 1))
+    assert success_probability(out, 3) == walk._sum_squares(out[block])
+    # strided, as np.asarray lets a view through
+    spread = np.zeros(2 * params.dim, dtype=np.complex128)
+    spread[::2] = out
+    assert success_probability(spread[::2], 3) == success_probability(out, 3)
+    reduced, residual = project(out, n, 3)
+    assert residual == walk._norm(out - embed(reduced, n, 3))
+    assert all(check.passed for check in run_verification([4, n], [0.0, phi], steps=4))
+    assert probs[0] == success_probability(initial_state(params), 3)
+
+
+def test_diagonal_take_copies_no_index():
+    # numpy's take copies a read-only index array on every call (130,240 B
+    # at b = 128); the cached permutation is writeable, so one diagonal
+    # tile's take allocates only numpy's bookkeeping.
+    perm = walk._tile_permutation(128)
+    x = random_state(perm.size, seed=1).reshape(perm.shape)
+    y = np.empty_like(x)
+    x.take(perm, out=y, mode="wrap")
+    tracemalloc.start()
+    try:
+        x.take(perm, out=y, mode="wrap")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024
 
 
 def test_evolve_basics():
