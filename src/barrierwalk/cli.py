@@ -64,18 +64,19 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_int_list(text: str) -> list[int]:
-    tokens = text.replace(",", " ").split()
-    if not tokens:
-        raise ValueError("expected a comma-separated list of integers")
-    return [int(token) for token in tokens]
+def _list_parser(item: Callable[[str], Any], items: str) -> Callable[[str], list]:
+    def parse(text: str) -> list:
+        tokens = text.replace(",", " ").split()
+        if not tokens:
+            raise ValueError(f"expected a comma-separated list of {items}")
+        return [item(token) for token in tokens]
+
+    parse.__name__ = f"_parse_{item.__name__}_list"  # argparse prints it in errors
+    return parse
 
 
-def _parse_float_list(text: str) -> list[float]:
-    tokens = text.replace(",", " ").split()
-    if not tokens:
-        raise ValueError("expected a comma-separated list of numbers")
-    return [float(token) for token in tokens]
+_parse_int_list = _list_parser(int, "integers")
+_parse_float_list = _list_parser(float, "numbers")
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -142,14 +143,15 @@ def _resolve(
     return argparse.Namespace(**values)
 
 
-def _emit_curve(result, out_path: str | None) -> None:
-    if out_path is None:
-        write_curve_csv(result, sys.stdout)
-        print(summary_line(result), file=sys.stderr)
-        return
-    with open(out_path, "w", encoding="utf-8", newline="") as handle:
-        write_curve_csv(result, handle)
-    print(summary_line(result))
+def _write_csv(out: str | None, write: Callable, data: Any, summary=None) -> None:
+    """CSV to out, summary(data) to stdout; or CSV to stdout, summary to stderr."""
+    if out is None:
+        write(data, sys.stdout)
+    else:
+        with open(out, "w", encoding="utf-8", newline="") as handle:
+            write(data, handle)
+    if summary is not None:
+        print(summary(data), file=sys.stderr if out is None else sys.stdout)
 
 
 # One row per option, in --help order: name, parse, default, help.
@@ -180,7 +182,7 @@ def _cmd_simulate(o: argparse.Namespace) -> int:
         refuse_above_cap(o.n, o.max_full_n,
                          "use --mode dtqw-reduced or raise --max-full-n")
     spec = WalkSpec(o.n, o.beta, o.corrected, o.steps, marked=o.marked, mode=o.mode)
-    _emit_curve(run_experiment(spec), o.out)
+    _write_csv(o.out, write_curve_csv, run_experiment(spec), summary_line)
     return EXIT_OK
 
 
@@ -203,11 +205,7 @@ def _cmd_sweep(o: argparse.Namespace) -> int:
     if o.workers < 1:
         raise ValueError(f"workers must be >= 1, got {o.workers}")
     rows = run_sweep(o.n, o.beta, o.corrected, o.steps, o.max_full_n)
-    if o.out is None:
-        write_sweep_csv(rows, sys.stdout)
-    else:
-        with open(o.out, "w", encoding="utf-8", newline="") as handle:
-            write_sweep_csv(rows, handle)
+    _write_csv(o.out, write_sweep_csv, rows)
     return EXIT_OK
 
 
@@ -257,7 +255,7 @@ _CTQW = (
 
 def _cmd_ctqw(o: argparse.Namespace) -> int:
     spec = CtqwSpec(o.n, o.epsilon, o.gamma, o.corrected, o.t_max, o.samples)
-    _emit_curve(run_experiment(spec), o.out)
+    _write_csv(o.out, write_curve_csv, run_experiment(spec), summary_line)
     return EXIT_OK
 
 
@@ -348,13 +346,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config) if args.config else {}
         return handler(_resolve(options, args, config))
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         # MemoryError is a backstop: every subcommand refuses a run past the
         # host's physical memory before allocating, but an array can still
         # fail to allocate under a limit that refusal does not read, such as
-        # a cgroup's.
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        # a cgroup's.  io.UnsupportedOperation is a ValueError and an
+        # OSError, and counts as a usage error.
+        return EXIT_USAGE if isinstance(exc, (ValueError, MemoryError)) else EXIT_IO

@@ -192,7 +192,8 @@ def _sum_squares(x: np.ndarray) -> float:
     # sized.  A BLAS dot (np.vdot, np.linalg.norm) rounds differently with
     # the number of threads OpenBLAS splits it across, which it does above
     # 10,000 amplitudes, and its own error (5e-14 at N = 128) hid the 2e-15
-    # norm drift of a 100-step walk.
+    # norm drift of a 100-step walk.  Squares below about 1e-308 lose digits
+    # and below 5e-324 vanish, so _norm rescales a state that tiny.
     v = x.view(np.float64)
     total = 0.0
     for k in range(0, v.size, _NORM_CHUNK):
@@ -202,7 +203,14 @@ def _sum_squares(x: np.ndarray) -> float:
 
 
 def _norm(x: np.ndarray) -> float:
-    return math.sqrt(_sum_squares(x))
+    total = _sum_squares(x)
+    if total >= 2.0**-800:
+        return math.sqrt(total)
+    # Scale the largest component into [0.5, 1) by an exact power of two, so
+    # no square underflows, and scale the root back; a zero state stays 0.
+    v = x.view(np.float64)
+    exponent = math.frexp(np.abs(v).max(initial=0.0))[1]
+    return math.ldexp(math.sqrt(_sum_squares(np.ldexp(v, -exponent))), exponent)
 
 
 def initial_state(params: WalkParams) -> np.ndarray:

@@ -428,9 +428,18 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
 
 
-def test_cli_unwritable_out_is_exit_3(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "16", "--steps", "3"],
+        ["ctqw", "--n", "16", "--samples", "3"],
+        ["sweep", "--n", "8", "--beta", "0", "--steps", "3"],
+    ],
+    ids=["simulate", "ctqw", "sweep"],
+)
+def test_cli_unwritable_out_is_exit_3(tmp_path, capsys, argv):
     missing_dir = tmp_path / "no" / "such" / "dir.csv"
-    assert main(["simulate", "--n", "16", "--steps", "3", "--out", str(missing_dir)]) == 3
+    assert main([*argv, "--out", str(missing_dir)]) == 3
     assert "error:" in capsys.readouterr().err
 
 
@@ -476,6 +485,22 @@ def test_cli_config_errors(tmp_path, capsys):
     bad_value.write_text("n = 16\ncorrected = maybe\n")
     assert main(["simulate", "--config", str(bad_value)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "key, kind, value", [("n", "int", "8,x"), ("phi", "float", "0.3,x")]
+)
+def test_cli_list_errors(tmp_path, capsys, key, kind, value):
+    # argparse names the list parser in its message; a config file gets the
+    # parser's own text
+    assert main(["verify", f"--{key}", value]) == 2
+    assert f"invalid _parse_{kind}_list value: '{value}'" in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = ,\n")
+    assert main(["verify", "--config", str(config)]) == 2
+    items = "integers" if kind == "int" else "numbers"
+    expected = f"error: config key '{key}': expected a comma-separated list of {items}\n"
+    assert capsys.readouterr().err == expected
 
 
 def test_cli_verify_pass_and_boundary(capsys):

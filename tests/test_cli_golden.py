@@ -51,6 +51,10 @@ CASES: dict[str, tuple[list[str], str | None]] = {
     "sweep-fallback": (
         ["sweep", "--n", "8,64", "--beta", "0,0.5", "--corrected", "--steps", "30",
          "--max-full-n", "32", "--out", "{tmp}/sweep.csv"], None),
+    # the benchmark's sweep flags: a "0.0" beta list, --workers 2 and --out
+    "sweep-to-file": (
+        ["sweep", "--n", "8,16", "--beta", "0.0,0.4,0.8", "--corrected", "--steps", "20",
+         "--max-full-n", "8", "--workers", "2", "--out", "{tmp}/sweep.csv"], None),
     "sweep-blocked": (["sweep", "--n", "16", "--beta", "0.5,1", "--steps", "10"], None),
     "sweep-workers": (
         ["sweep", "--n", "8,16", "--beta", "0,0.5", "--corrected", "--steps", "25",

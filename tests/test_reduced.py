@@ -258,23 +258,20 @@ def test_embed_project_round_trip_any_n_and_marked(n, parts, data):
     assert residual < 1e-13
 
 
-# Amplitudes at the scale of a unit state: zero, or at least 1e-100, so each
-# nonzero deviation from a class mean (above about 1e-118) squares to a
-# normal double and the residual's sum of squares loses nothing to underflow.
-_STATE_SCALE = _UNIT.filter(lambda v: v == 0.0 or abs(v) >= 1e-100)
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     graph=st.integers(3, 40).flatmap(
         lambda n: st.tuples(st.just(n), st.sampled_from([0, n - 1]) | st.integers(0, n - 1))
     ),
     kind=st.sampled_from(["random", "embedded", "perturbed"]),
-    parts=st.lists(st.tuples(_STATE_SCALE, _STATE_SCALE), min_size=3, max_size=3),
+    parts=st.lists(st.tuples(_UNIT, _UNIT), min_size=3, max_size=3),
     seed=st.integers(0, 2**32 - 1),
     nudge=st.floats(1e-18, 1e-8),
     data=st.data(),
 )
+# a class deviation whose square underflows: the residual once read 0
+@example(graph=(3, 0), kind="embedded", seed=0, nudge=1e-18, data=None,
+         parts=[(0.0, 0.0), (0.0, 0.0), (0.0, 3.20846806624405e-274)])
 def test_projection_residual_bounds_every_class_deviation(graph, kind, parts, seed, nudge, data):
     # verify's one subspace check, projection-residual, is |d|_2 for
     # d = x - embed(project(x)); it also stands for max |d|, the largest
@@ -289,6 +286,18 @@ def test_projection_residual_bounds_every_class_deviation(graph, kind, parts, se
         state[data.draw(st.integers(0, n * (n - 1) - 1), label="slot")] += nudge
     reduced, residual = project(state, n, marked)
     assert np.abs(state - embed(reduced, n, marked)).max() <= residual * (1 + 4 * 2**-53)
+
+
+def test_projection_residual_of_a_tiny_state():
+    # Every square of this state's class deviations (9.7e-251 at most)
+    # underflows to 0, so an unscaled sum of squares read a residual of 0.
+    n, marked = 7, 3
+    state = embed(np.array([0.0, 0.0, 7.7e-242j]), n, marked)
+    state[0] += 1e-250
+    reduced, residual = project(state, n, marked)
+    worst = np.abs(state - embed(reduced, n, marked)).max()
+    assert worst == pytest.approx(9.7e-251, rel=0.01, abs=0)
+    assert worst <= residual * (1 + 4 * 2**-53)
 
 
 def test_project_single_pair_residual():

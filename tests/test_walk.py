@@ -406,6 +406,15 @@ def test_norm_is_a_pairwise_sum_in_chunks(monkeypatch, size):
     assert walk._norm(x[:0]) == 0.0
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 5e-324])
+def test_norm_of_a_tiny_state(scale):
+    # Squares below the smallest double underflow; the norm is rescaled by a
+    # power of two, so it stays within a few ulps of the exact value.
+    x = np.full(10, scale, dtype=np.complex128)
+    assert walk._norm(x) == pytest.approx(math.sqrt(10) * scale, rel=1e-15, abs=0)
+    assert walk._norm(np.zeros(10, dtype=np.complex128)) == 0.0
+
+
 def test_success_probability_concentrated():
     n = 6
     state = np.zeros(n * (n - 1), dtype=complex)
