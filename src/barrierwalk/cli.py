@@ -71,7 +71,6 @@ def _list_parser(item: Callable[[str], Any], items: str) -> Callable[[str], list
             raise ValueError(f"expected a comma-separated list of {items}")
         return [item(token) for token in tokens]
 
-    parse.__name__ = f"_parse_{item.__name__}_list"  # argparse prints it in errors
     return parse
 
 
@@ -102,8 +101,9 @@ def load_config(path: str) -> dict[str, str]:
 class _Option:
     """One option: flag --name on the command line, key name in a config file.
 
-    parse turns the text of either into a value (a _parse_bool option is a
-    bare switch on the command line); default applies when neither sets it.
+    parse turns the text of either into a value, in _resolve only (a
+    _parse_bool option is a bare switch on the command line); default applies
+    when neither sets it.
     """
 
     name: str
@@ -111,7 +111,6 @@ class _Option:
     default: Any
     help: str
     required: bool = False
-    choices: tuple[str, ...] | None = None
 
     @property
     def flag(self) -> str:
@@ -121,20 +120,27 @@ class _Option:
 def _resolve(
     options: tuple[_Option, ...], args: argparse.Namespace, config: dict[str, str]
 ) -> argparse.Namespace:
-    """Merge precedence: explicit flag, then config entry, then default."""
+    """Parse each option's text from its flag, else its config key; else default.
+
+    A bad value reads `argument --flag: <text>` or `config key 'name': <text>`,
+    with the same <text> from either source.
+    """
     values = {}
     for option in options:
-        value = getattr(args, option.name)
-        if value is None and option.name in config:
-            try:
-                value = option.parse(config[option.name])
-            except ValueError as exc:
-                raise ValueError(f"config key {option.name!r}: {exc}") from None
-        if value is None:
+        text, source = getattr(args, option.name), f"argument {option.flag}"
+        if text is None and option.name in config:
+            text, source = config[option.name], f"config key {option.name!r}"
+        if text is None:
             if option.required:
                 raise ValueError(f"missing required option {option.flag}")
-            value = option.default
-        values[option.name] = value
+            values[option.name] = option.default
+        elif text is True:  # a switch given on the command line
+            values[option.name] = True
+        else:
+            try:
+                values[option.name] = option.parse(text)
+            except ValueError as exc:
+                raise ValueError(f"{source}: {exc}") from None
     unknown = sorted(set(config) - set(values))
     if unknown:
         raise ValueError(
@@ -166,8 +172,8 @@ _SIMULATE = (
     _Option("corrected", _parse_bool, False, "apply the phase-matched eta correction"),
     _Option("steps", int, None, "step count (default: window covering the peak)"),
     _Option("mode", str, "dtqw-full",
-            "statevector engine or exact 3x3 reduced model (default dtqw-full)",
-            choices=("dtqw-full", "dtqw-reduced")),
+            "dtqw-full (statevector engine) or dtqw-reduced (exact 3x3 reduced"
+            " model); default dtqw-full"),
     _Option("marked", int, 0, "marked vertex index (default 0)"),
     _Option("max_full_n", int, DEFAULT_MAX_FULL_N,
             f"cap on full-space N (default {DEFAULT_MAX_FULL_N})"),
@@ -321,17 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_text, options, _) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         for option in (*options, _CONFIG):
-            if option.parse is _parse_bool:
-                command.add_argument(
-                    option.flag, action="store_true", default=None, help=option.help
-                )
-            else:
-                command.add_argument(
-                    option.flag,
-                    type=option.parse,
-                    choices=option.choices,
-                    help=option.help,
-                )
+            # argparse only splits the command line; _resolve parses each value
+            switch = {"action": "store_true"} if option.parse is _parse_bool else {}
+            command.add_argument(option.flag, default=None, help=option.help, **switch)
     return parser
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from barrierwalk import experiments
+from barrierwalk import cli, experiments
 from barrierwalk.cli import main
 from barrierwalk.ctqw import corrected_gamma, ctqw_runtime, ctqw_success_curve
 from barrierwalk.experiments import (
@@ -423,7 +423,7 @@ def test_cli_usage_errors(capsys):
     assert main(["simulate", "--n", "16", "--beta", "1.5"]) == 2
     assert main(["simulate", "--n", "16", "--beta", "1", "--corrected"]) == 2
     assert main(["simulate", "--n", "8192"]) == 2  # over the full-space cap
-    assert main(["simulate", "--n", "16", "--steps", "abc"]) == 2  # argparse error
+    assert main(["simulate", "--n", "16", "--steps", "abc"]) == 2  # a bad value
     assert main(["nonsense"]) == 2
     capsys.readouterr()
 
@@ -491,16 +491,80 @@ def test_cli_config_errors(tmp_path, capsys):
     "key, kind, value", [("n", "int", "8,x"), ("phi", "float", "0.3,x")]
 )
 def test_cli_list_errors(tmp_path, capsys, key, kind, value):
-    # argparse names the list parser in its message; a config file gets the
-    # parser's own text
-    assert main(["verify", f"--{key}", value]) == 2
-    assert f"invalid _parse_{kind}_list value: '{value}'" in capsys.readouterr().err
-    config = tmp_path / "run.cfg"
-    config.write_text(f"{key} = ,\n")
-    assert main(["verify", "--config", str(config)]) == 2
+    # a bad item gets its item parser's text and an empty list the list
+    # parser's, the same from the command line and from a config file
+    bad_item = (
+        "invalid literal for int() with base 10: 'x'"
+        if kind == "int"
+        else "could not convert string to float: 'x'"
+    )
     items = "integers" if kind == "int" else "numbers"
-    expected = f"error: config key '{key}': expected a comma-separated list of {items}\n"
-    assert capsys.readouterr().err == expected
+    config = tmp_path / "run.cfg"
+    for text, expected in [(value, bad_item), (",", f"expected a comma-separated list of {items}")]:
+        assert main(["verify", f"--{key}", text]) == 2
+        assert capsys.readouterr().err == f"error: argument --{key}: {expected}\n"
+        config.write_text(f"{key} = {text}\n")
+        assert main(["verify", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: config key '{key}': {expected}\n"
+
+
+# Tokens that each parse function refuses (a str option takes any text);
+# --mode is checked by WalkSpec and by simulate's pointer to ctqw instead.
+_BAD_TOKENS = {
+    int: ["x"],
+    float: ["x"],
+    cli._parse_int_list: ["8,x"],
+    cli._parse_float_list: ["0.3,x"],
+    cli._parse_bool: ["maybe"],
+    str: [],
+}
+_MODE_ERRORS = {
+    "foo": "mode must be dtqw-full or dtqw-reduced, got 'foo'",
+    "ctqw": "continuous-time runs have their own subcommand: ctqw",
+}
+_BAD_VALUES = [
+    (command, option, token)
+    for command, (_, options, _) in cli._COMMANDS.items()
+    for option in options
+    for token in (_MODE_ERRORS if option.name == "mode" else _BAD_TOKENS[option.parse])
+]
+
+
+@pytest.mark.parametrize(
+    "command, option, token",
+    _BAD_VALUES,
+    ids=[f"{command}-{option.name}-{token}" for command, option, token in _BAD_VALUES],
+)
+def test_cli_bad_value_is_one_message_from_either_source(
+    tmp_path, capsys, command, option, token
+):
+    # Every bad value exits 2 with one error: line naming its source and
+    # nothing on stdout, with the same text from a flag and a config file.
+    # A switch takes no text on the command line, so a bool goes by config only.
+    _, options, _ = cli._COMMANDS[command]
+    required = [
+        arg
+        for other in options
+        if other.required and other is not option
+        for arg in (other.flag, {"n": "16", "beta": "0"}[other.name])
+    ]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{option.name} = {token}\n")
+    runs = {f"config key {option.name!r}": ["--config", str(config)]}
+    if option.parse is not cli._parse_bool:
+        runs[f"argument {option.flag}"] = [option.flag, token]
+    texts = set()
+    for source, argv in runs.items():
+        assert main([command, *required, *argv]) == 2
+        captured = capsys.readouterr()
+        prefix = "error: " if option.name == "mode" else f"error: {source}: "
+        assert captured.out == ""
+        assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+        assert captured.err.endswith("\n")
+        texts.add(captured.err.removeprefix(prefix))
+    assert len(texts) == 1
+    if option.name == "mode":
+        assert texts == {_MODE_ERRORS[token] + "\n"}
 
 
 def test_cli_verify_pass_and_boundary(capsys):

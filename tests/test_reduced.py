@@ -5,9 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from barrierwalk.experiments import WalkSpec, run_experiment
 from barrierwalk.phases import build_phase_plan, corrected_eta, overlap_angle
 from barrierwalk.reduced import (
     build_reduced_operators,
@@ -475,4 +476,61 @@ def test_corrected_walk_peaks_at_one_half_near_t_star(exponent, beta):
     y = (2 * math.sqrt(2) / root + 1 / n) / (1 - 2 / n)
     assert abs(peak - plan.t_star) * cos / quarter <= (
         math.asin(math.sqrt(y)) * quarter / math.sqrt(2) + (cos + 1.5 / root) / quarter
+    )
+
+
+# The paper's negative claim: without the correction the search fails once
+# c = beta sqrt(N) grows, even as beta -> 0.  With eta = 0, evolve_reduced's
+# closed form is exactly (sign +1, as cos(phi) > 0)
+#     a(t) = c0 (-e^{i phi})^t + R(ts),   R(tau) = A cos(tau) + D sin(tau)/sin(s),
+#     c0 = (N-2)/((2N-3) sqrt(N)) < 1/(2 sqrt(N)),  A = (N-1)/((2N-3) sqrt(N)),
+#     A^2 <= (1 + 3/N)/(4N),  |D|^2 = cos^2(phi)/N + A^2 beta^2,
+#     sin^2(s/2) = sin^2(phi/2) + cos(phi)/(2(N-1)),
+#     sin^2(s) = beta^2 + cos^2(phi) (2N-3)/(N-1)^2.
+#  1. Exactly, by the triangle inequality, p(t) <= (c0 + A + |D|/sin(s))^2.
+#  2. The limit.  Let B = |D|/sin(s) and q = 1/(2 + c^2).  F = |R|^2 is a
+#     quadratic form in (cos tau, sin tau) with maximum L, B^2 <= L <= A^2 + B^2
+#     (F(pi/2) = B^2, and |R| <= A |cos| + B |sin|).  Since s exceeds the
+#     error-free rotation angle, the default window of 2.8 error-free runtimes
+#     spans more than 1.4 pi in tau, so some step lies within s/2 of a maximum
+#     of F, and
+#         L cos^2(s/2) - 2 c0 sqrt(L) <= p_peak <= (sqrt(L) + c0)^2.
+#     Multiplying B^2 through by N, with c^2 = N beta^2,
+#         B^2 = (1 - (3/4 - e) beta^2) / (2 + c^2 - (2 + d) beta^2 + d),
+#     where N A^2 = 1/4 + e, e < 1/(2N), and d = (N-2)/(N-1)^2 < 1/N.  The
+#     denominator is at least (2 + c^2)(1 - 2/N), and c^2/(2 + c^2)^2 <= 1/8,
+#     so
+#         -0.75/(N (1 - 2/N)) <= B^2 - q <= (1 + 4/N)/(16 N (1 - 2/N)).
+#     Also B^2 sin^2(s/2) = |D|^2/(2(1 + cos(s))) <= 1/(2N), 2 c0 sqrt(N) < 1,
+#     and sqrt(L) <= sqrt(q) + sqrt(A^2 + (B^2 - q)^+) <= 1/sqrt(2) + 0.57/sqrt(N).
+#     At N >= 100 that gives, in sqrt(N) units,
+#         p_peak - q <= 1/sqrt(2) + (0.57 + 0.26 + 0.25 + 0.07)/sqrt(N),
+#         q - p_peak <= 1/sqrt(2) + (0.57 + 0.77 + 0.5)/sqrt(N),
+#     so |p_peak - q| sqrt(N) <= K = 1/sqrt(2) + 2/sqrt(N).
+# At beta = c/sqrt(N) the peak tends to 1/(2 + c^2): below the error-free
+# 1/2 for any fixed c > 0, and to 0 as c grows.  The computed p may differ
+# from the exact one by the drift gate's tolerance at each step, so bound 1
+# allows that drift and bound 2 that drift times sqrt(N).  Over about 1,900 random
+# points bound 1 read up to 0.999998 of itself and K up to 0.9999 (at large N
+# and c = 0.01, where 1/sqrt(2) is the tight leading term).  The argmax is
+# not gated: at large c the c0 ripple is as large as the rotating part.
+@settings(max_examples=100, deadline=None)
+@given(exponent=st.floats(2.0, 12.0), log_c=st.floats(-2.0, 2.0))
+@example(exponent=9.0, log_c=0.0)  # c = 1: peaks at 0.33335 against 1/3
+@example(exponent=12.0, log_c=-2.0)  # the costliest point, 3.1 M steps
+def test_uncorrected_walk_peaks_at_one_over_two_plus_c_squared(exponent, log_c):
+    n = round(10**exponent)
+    root = math.sqrt(n)
+    beta = 10**log_c / root
+    assume(beta < 1.0)
+    result = run_experiment(WalkSpec(n, beta, corrected=False, mode="dtqw-reduced"))
+    phi, tolerance = math.asin(beta), _drift_tolerance(n)
+    c0 = (n - 2) / ((2 * n - 3) * root)
+    a = (n - 1) / ((2 * n - 3) * root)
+    s = 2 * math.asin(math.sqrt(math.sin(phi / 2) ** 2 + math.cos(phi) / (2 * (n - 1))))
+    d = math.sqrt(math.cos(phi) ** 2 / n + (a * beta) ** 2)
+    assert result.probabilities.max() <= (c0 + a + d / math.sin(s)) ** 2 + tolerance
+    limit = 1 / (2 + n * beta**2)
+    assert abs(result.peak_probability - limit) * root <= (
+        1 / math.sqrt(2) + 2 / root + tolerance * root
     )
