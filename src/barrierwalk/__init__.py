@@ -10,7 +10,7 @@ importable from its own module: step and success_probability from
 barrierwalk.walk, the 3x3 operators and psi_minus_one from
 barrierwalk.reduced, the eta/sigma/runtime formulas from barrierwalk.phases,
 the continuous-time helpers from barrierwalk.ctqw, and the CSV writers and
-sweep rows from barrierwalk.experiments.
+RunSummary, a run's result without its curve, from barrierwalk.experiments.
 """
 
 from .ctqw import CtqwParams, ctqw_success_curve

@@ -13,13 +13,18 @@ how the curves are usually labeled.  Continuous-time runs (CtqwSpec) take it
 as the hop attenuation epsilon instead.  Each spec computes its own curve()
 and carries its own CSV and summary wording, so run_experiment, summary_line
 and write_curve_csv treat both alike.
+
+An ExperimentResult is a RunSummary (spec, peak, prediction) plus the curve.
+A sweep keeps only each point's RunSummary, so it holds no curve, and its
+CSV prints the spec's own prediction, the one simulate's summary line prints.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import chain
 from typing import Sequence, TextIO
 
@@ -52,8 +57,8 @@ __all__ = [
     "VERIFY_DEFAULT_PHIS",
     "WalkSpec",
     "CtqwSpec",
+    "RunSummary",
     "ExperimentResult",
-    "SweepRow",
     "CheckResult",
     "phi_from_beta",
     "engine_for",
@@ -154,9 +159,9 @@ class WalkSpec:
     def phi(self) -> float:
         return phi_from_beta(self.beta)
 
-    @property
+    @cached_property
     def plan(self) -> PhasePlan:
-        """The PhasePlan for (N, phi) that eta, the step window and t* come from."""
+        """The PhasePlan for (N, phi), built once; eta, window and t* read it."""
         return build_phase_plan(self.n_vertices, self.phi)
 
     @property
@@ -250,22 +255,27 @@ class CtqwSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class ExperimentResult:
-    """A run's curve plus the summary quantities the CLI prints.
+class RunSummary:
+    """A run's spec, peak and prediction: everything the CLI prints but the curve.
 
-    x holds step indices (dtqw) or times (ctqw), aligned with probabilities;
-    predicted_peak is the phase-matching runtime prediction in the same
-    units, or None where no honest prediction exists (uncorrected barriers,
-    miscalibrated ctqw rates).
+    peak_x is a step index (dtqw) or a time (ctqw); predicted_peak is the
+    spec's own prediction in the same units, or None where no honest
+    prediction exists (uncorrected barriers, miscalibrated ctqw rates).
     """
 
     spec: WalkSpec | CtqwSpec
-    x: np.ndarray
-    probabilities: np.ndarray
     peak_index: int
     peak_x: float
     peak_probability: float
     predicted_peak: float | None
+
+
+@dataclass(frozen=True, eq=False)
+class ExperimentResult(RunSummary):
+    """A run's summary plus its curve: x and probabilities, aligned."""
+
+    x: np.ndarray
+    probabilities: np.ndarray
 
 
 def run_experiment(spec: WalkSpec | CtqwSpec) -> ExperimentResult:
@@ -274,16 +284,16 @@ def run_experiment(spec: WalkSpec | CtqwSpec) -> ExperimentResult:
     peak_index = int(np.argmax(probs))
     return ExperimentResult(
         spec=spec,
-        x=x,
-        probabilities=probs,
         peak_index=peak_index,
         peak_x=float(x[peak_index]),
         peak_probability=float(probs[peak_index]),
         predicted_peak=spec.predicted_peak(),
+        x=x,
+        probabilities=probs,
     )
 
 
-def summary_line(result: ExperimentResult) -> str:
+def summary_line(result: RunSummary) -> str:
     """One human-readable line: where the run peaked vs. where theory says."""
     spec = result.spec
     head = (
@@ -305,39 +315,10 @@ def write_curve_csv(result: ExperimentResult, out: TextIO) -> None:
         out.write(row * len(x) % tuple(chain.from_iterable(zip(x, p))))
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """Summary of one sweep grid point.
-
-    eta is the phase the run actually used (0 when uncorrected); sigma and
-    t_star_predicted are the phase-matched predictions for this (N, beta),
-    with t_star_predicted None at the blocked point beta = 1.  mode records
-    whether the point ran full-space or fell back to the reduced model.
-    """
-
-    n_vertices: int
-    beta: float
-    eta: float
-    sigma: float
-    t_star_predicted: int | None
-    t_star_measured: int
-    peak_probability: float
-    mode: str
-
-
-def _sweep_point(spec: WalkSpec) -> SweepRow:
+def _sweep_point(spec: WalkSpec) -> RunSummary:
+    # Keep the summary only, so the curve is freed before the next point runs.
     result = run_experiment(spec)
-    plan = spec.plan
-    return SweepRow(
-        n_vertices=spec.n_vertices,
-        beta=spec.beta + 0.0,  # -0.0 prints as 0
-        eta=spec.eta,
-        sigma=plan.sigma,
-        t_star_predicted=plan.t_star,
-        t_star_measured=result.peak_index,
-        peak_probability=result.peak_probability,
-        mode=spec.mode,
-    )
+    return RunSummary(*(getattr(result, f.name) for f in fields(RunSummary)))
 
 
 def run_sweep(
@@ -346,8 +327,8 @@ def run_sweep(
     corrected: bool,
     steps: int | None = None,
     max_full_n: int = DEFAULT_MAX_FULL_N,
-) -> list[SweepRow]:
-    """Run the (N, beta) grid, N-major, one row per point, in this process.
+) -> list[RunSummary]:
+    """Run the (N, beta) grid, N-major, one summary per point, in this process.
 
     Every point is checked before any runs.  Points run one at a time; each
     full-space point spreads its steps over every usable CPU, and a reduced
@@ -363,16 +344,19 @@ def run_sweep(
     return [_sweep_point(spec) for spec in grid]
 
 
-def write_sweep_csv(rows: Sequence[SweepRow], out: TextIO) -> None:
+def write_sweep_csv(rows: Sequence[RunSummary], out: TextIO) -> None:
+    """One line per sweep point; t_star_predicted is empty where the run has none."""
     out.write(
         "n,beta,eta,sigma,t_star_predicted,t_star_measured,peak_probability,mode\n"
     )
     for row in rows:
-        predicted = "" if row.t_star_predicted is None else str(row.t_star_predicted)
+        spec = row.spec
+        predicted = row.predicted_peak
+        predicted = "" if predicted is None else spec.x_format % predicted
         out.write(
-            f"{row.n_vertices},{row.beta:{_FLOAT_FMT}},{row.eta:{_FLOAT_FMT}},"
-            f"{row.sigma:{_FLOAT_FMT}},{predicted},{row.t_star_measured},"
-            f"{row.peak_probability:{_FLOAT_FMT}},{row.mode}\n"
+            f"{spec.n_vertices},{spec.beta + 0.0:{_FLOAT_FMT}},"  # -0.0 prints as 0
+            f"{spec.eta:{_FLOAT_FMT}},{spec.plan.sigma:{_FLOAT_FMT}},{predicted},"
+            f"{row.peak_index},{row.peak_probability:{_FLOAT_FMT}},{spec.mode}\n"
         )
 
 

@@ -123,8 +123,9 @@ def embed(
     _check_marked(marked, n_vertices)
     a = np.empty((n_vertices, n_vertices - 1), dtype=np.complex128)
     for amp, views in zip(amps, _class_slices(a, marked)):
+        mean = amp / _root_size(views)
         for view in views:
-            view[...] = amp / _root_size(views)
+            view[...] = mean
     return a.reshape(-1)
 
 

@@ -132,11 +132,11 @@ def test_criterion_7_sqrt_n_scaling_of_measured_runtime(report):
     passed = True
     for beta in (0.0, 0.8):
         rows = run_sweep([256, 1024, 4096], [beta], corrected=True, max_full_n=128)
-        ratios = [row.t_star_measured / math.sqrt(row.n_vertices) for row in rows]
+        ratios = [row.peak_index / math.sqrt(row.spec.n_vertices) for row in rows]
         mean = sum(ratios) / len(ratios)
         deviation = max(abs(r - mean) / mean for r in ratios)
         passed = passed and deviation <= 0.02
-        measured = [row.t_star_measured for row in rows]
+        measured = [row.peak_index for row in rows]
         details.append(f"beta={beta}: t*={measured}, max dev from mean {deviation:.3%}")
     report(7, passed, "; ".join(details))
     assert passed

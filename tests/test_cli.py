@@ -231,28 +231,28 @@ def test_curve_csv_golden_prefix():
 
 def test_sweep_rows_and_reduced_fallback():
     rows = run_sweep([8, 64], [0.0, 0.5], corrected=True, steps=30, max_full_n=32)
-    assert [(r.n_vertices, r.beta) for r in rows] == [
+    assert [(r.spec.n_vertices, r.spec.beta) for r in rows] == [
         (8, 0.0),
         (8, 0.5),
         (64, 0.0),
         (64, 0.5),
     ]
-    assert [r.mode for r in rows] == [
+    assert [r.spec.mode for r in rows] == [
         "dtqw-full",
         "dtqw-full",
         "dtqw-reduced",
         "dtqw-reduced",
     ]
     for row in rows:
-        assert row.t_star_predicted >= 1
+        assert row.predicted_peak >= 1
         assert 0.0 <= row.peak_probability <= 1.0
 
 
 def test_sweep_blocked_point_has_no_prediction():
     (row,) = run_sweep([16], [1.0], corrected=False, steps=10)
-    assert row.t_star_predicted is None
-    assert row.sigma == 0.0
-    assert row.t_star_measured == 0  # nothing ever hops
+    assert row.predicted_peak is None
+    assert row.spec.plan.sigma == 0.0
+    assert row.peak_index == 0  # nothing ever hops
     buf = io.StringIO()
     write_sweep_csv([row], buf)
     header, line = buf.getvalue().splitlines()
@@ -262,12 +262,74 @@ def test_sweep_blocked_point_has_no_prediction():
 
 def test_sweep_checks_its_grid_and_workers(capsys):
     rows = run_sweep([16, 10**6], [0.0, 0.5], corrected=True, steps=25, max_full_n=512)
-    assert [row.mode for row in rows] == ["dtqw-full"] * 2 + ["dtqw-reduced"] * 2
+    assert [row.spec.mode for row in rows] == ["dtqw-full"] * 2 + ["dtqw-reduced"] * 2
     with pytest.raises(ValueError):
         run_sweep([], [0.0], corrected=False)
     # --workers changes no result, but it is still checked
     assert main(["sweep", "--n", "8", "--beta", "0", "--workers", "0"]) == 2
     assert "workers must be >= 1, got 0" in capsys.readouterr().err
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # (full engine?, N): the full engine up to N = 16, the reduced one to 10^12
+    point=st.tuples(st.just(True), st.integers(3, 16))
+    | st.tuples(st.just(False), st.integers(3, 10**12)),
+    beta=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    corrected=st.booleans(),
+    steps=st.integers(0, 40),
+)
+# sweep --n 64 --beta 0.5 printed t* = 10 where simulate had no prediction
+@example(point=(True, 64), beta=0.5, corrected=False, steps=20)
+def test_sweep_row_prints_the_prediction_simulate_prints(point, beta, corrected, steps):
+    # The t_star_predicted field is the t* of the same spec's summary line,
+    # and empty exactly where that line says there is no prediction.
+    assume(not (corrected and beta == 1.0))
+    full, n = point
+    mode = "dtqw-full" if full else "dtqw-reduced"
+    (row,) = run_sweep([n], [beta], corrected, steps, max_full_n=n if full else 0)
+    buf = io.StringIO()
+    write_sweep_csv([row], buf)
+    field = buf.getvalue().splitlines()[1].split(",")[4]
+    spec = WalkSpec(n, beta, corrected, steps, mode=mode)
+    summary = summary_line(run_experiment(spec))
+    _, _, predicted = summary.partition(f"; {spec.prediction}")
+    if predicted:
+        assert field == predicted
+    else:
+        assert summary.endswith(f"; {spec.no_prediction}")
+        assert field == ""
+
+
+@pytest.mark.parametrize("max_full_n", [16, 0], ids=["full", "reduced"])
+@pytest.mark.parametrize(
+    "corrected,beta", [(True, 0.0), (True, 0.5), (False, 0.0), (False, 0.5), (False, 1.0)]
+)
+def test_sweep_point_builds_its_phase_plan_once(monkeypatch, max_full_n, corrected, beta):
+    calls = []
+
+    def counting_build(n_vertices, phi):
+        calls.append((n_vertices, phi))
+        return build_phase_plan(n_vertices, phi)
+
+    monkeypatch.setattr(experiments, "build_phase_plan", counting_build)
+    rows = run_sweep([16], [beta], corrected, steps=10, max_full_n=max_full_n)
+    write_sweep_csv(rows, io.StringIO())
+    assert calls == [(16, phi_from_beta(beta))]
+
+
+def test_sweep_holds_no_curve():
+    # Each point's default window is 1.5-2.5 M steps, a 24-40 MB curve; the
+    # sweep keeps each point's summary only, so what it returns is small.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = run_sweep([10**12], [0.0, 0.5, 0.8], corrected=True)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert [row.spec.resolved_steps() > 10**6 for row in rows] == [True] * 3
+    assert kept < 1 << 20
 
 
 def _peak_bytes(fn) -> int:

@@ -9,6 +9,9 @@ what a user sees shows up here.
 After a deliberate change of output, rewrite the golden file with
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+which also prints the names of the cases whose bytes changed, were added or
+were removed, so a regeneration can be checked against what it declares.
 """
 
 from __future__ import annotations
@@ -141,8 +144,28 @@ def test_golden_file_covers_every_case():
     assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == sorted(CASES)
 
 
+def test_golden_changes_names_each_kind():
+    old = {"kept": {"exit": 0}, "edited": {"exit": 0}, "dropped": {"exit": 2}}
+    new = {"kept": {"exit": 0}, "edited": {"exit": 1}, "new": {"exit": 0}}
+    assert golden_changes(old, new) == {
+        "changed": ["edited"], "added": ["new"], "removed": ["dropped"]
+    }
+
+
+def golden_changes(old: dict, new: dict) -> dict[str, list[str]]:
+    """Names of the cases whose results changed, were added or were removed."""
+    return {
+        "changed": sorted(name for name in old.keys() & new.keys() if old[name] != new[name]),
+        "added": sorted(new.keys() - old.keys()),
+        "removed": sorted(old.keys() - new.keys()),
+    }
+
+
 if __name__ == "__main__":
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     results = {name: run_case(name) for name in sorted(CASES)}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(results)} cases to {GOLDEN}", file=sys.stderr)
+    for kind, names in golden_changes(old, results).items():
+        print(f"{kind}: {', '.join(names) or '(none)'}", file=sys.stderr)

@@ -263,9 +263,10 @@ def test_phase_plan_at_random_points(n, phi):
         assert plan.t_star == runtime_t_star(phi, n)
         assert plan.t_star_exact == runtime_t_star_exact(phi, n)
         assert plan.t_star_large_n == runtime_large_n(phi, n)
-    # a sweep row carries the plan of its own (N, beta)
+    # a sweep row carries the plan of its own (N, beta), and an uncorrected
+    # row predicts t* only without a barrier, as simulate's summary does
     beta = math.sin(phi)
     (row,) = run_sweep([n], [beta], corrected=False, steps=1, max_full_n=0)
     row_plan = build_phase_plan(n, phi_from_beta(beta))
-    assert row.sigma == row_plan.sigma
-    assert row.t_star_predicted == row_plan.t_star
+    assert row.spec.plan.sigma == row_plan.sigma
+    assert row.predicted_peak == (row_plan.t_star if beta == 0.0 else None)
